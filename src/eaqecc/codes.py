@@ -169,14 +169,6 @@ class LinearCode:
             self._cache[key] = fact
         return fact
 
-    def distance_lower_bound(self, target: int, work_budget: int = dist.DEFAULT_WORK_BUDGET):
-        """Certify d >= target if possible within the budget."""
-        if self.k == 0:
-            return DistanceFact(self.n + 1, "exact", "convention")
-        return dist.information_set_bounds(
-            self.field, self.G.array, target=target, work_budget=work_budget
-        ).fact
-
     def codewords(self):
         """All q^k codewords as tuples (small codes only; test-scale helper)."""
         import itertools

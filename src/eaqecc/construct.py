@@ -23,6 +23,13 @@ from .matrix import MatrixFq, gf_matmul
 CONSTRUCT_WORK_BUDGET = 10**6
 
 
+def is_pure_at(purity: str, delta: int) -> bool:
+    """Whether a purity tag ('pure', 'pure_to:<w>' or 'unknown') covers distance delta."""
+    if purity.startswith("pure_to:"):
+        return int(purity[len("pure_to:"):]) >= delta
+    return purity == "pure"
+
+
 @dataclass(frozen=True)
 class EaqeccParams:
     """Parameters [[n, kappa, delta; c]]_q with provenance.
@@ -58,11 +65,7 @@ class EaqeccParams:
         return Fraction(self.kappa - self.c, self.n)
 
     def is_pure_at_delta(self) -> bool:
-        if self.purity == "pure":
-            return True
-        if self.purity.startswith("pure_to:"):
-            return int(self.purity.split(":", 1)[1]) >= self.delta.value
-        return False
+        return is_pure_at(self.purity, self.delta.value)
 
     def __str__(self):
         return f"[[{self.n},{self.kappa},{self.delta};{self.c}]]_{self.q}"
@@ -134,7 +137,7 @@ def hermitian_construct(
         route="hermitian",
         ingredient=C,
     )
-    _bound_gate(params)
+    bound_gate(params)
     return params
 
 
@@ -221,17 +224,17 @@ def css_construct(
         route="css",
         ingredient=(C1, C2),
     )
-    _bound_gate(params)
+    bound_gate(params)
     return params
 
 
-def _bound_gate(params: EaqeccParams):
-    """Every constructed parameter set must satisfy its applicable bounds."""
+def bound_gate(params: EaqeccParams):
+    """Every constructed or derived parameter set must satisfy its applicable bounds."""
     from . import bounds
 
     report = bounds.check_all(params)
     if not report.ok:
         raise EaqeccError(
-            f"constructed parameters {params} violate bounds: "
+            f"parameters {params} violate bounds: "
             + "; ".join(e.bound_id for e in report.violations)
         )

@@ -17,6 +17,7 @@ inner loops.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -64,9 +65,13 @@ class DistanceFact:
         return f"<= {self.value}"
 
 
-def _mod_tables(field: FieldSpec):
-    r = np.arange(256, dtype=np.uint16) % field.p
-    return (r != 0).astype(np.uint8), r.astype(np.uint8)
+@functools.cache
+def _mod_tables(p: int):
+    """(nonzero, value) lookup tables mod p for raw uint8 digit sums."""
+    r = np.arange(256, dtype=np.uint16) % p
+    nz8, val8 = (r != 0).astype(np.uint8), r.astype(np.uint8)
+    nz8.flags.writeable = val8.flags.writeable = False
+    return nz8, val8
 
 
 def _row_multiple_planes(field: FieldSpec, row: np.ndarray) -> np.ndarray:
@@ -78,7 +83,7 @@ def _row_multiple_planes(field: FieldSpec, row: np.ndarray) -> np.ndarray:
 
 def _planes_to_values(field: FieldSpec, planes: np.ndarray) -> np.ndarray:
     """(s, n) raw planes -> encoded element values, reducing mod p."""
-    _, val8 = _mod_tables(field)
+    _, val8 = _mod_tables(field.p)
     out = np.zeros(planes.shape[1], dtype=np.int64)
     for j in range(field.s - 1, -1, -1):
         out = out * field.p + val8[planes[j]]
@@ -86,7 +91,7 @@ def _planes_to_values(field: FieldSpec, planes: np.ndarray) -> np.ndarray:
 
 
 def _reduce_planes(field: FieldSpec, planes: np.ndarray) -> np.ndarray:
-    _, val8 = _mod_tables(field)
+    _, val8 = _mod_tables(field.p)
     return val8[planes]
 
 
@@ -101,7 +106,7 @@ def _add_planes(field: FieldSpec, A: np.ndarray, B: np.ndarray, reduce_now: bool
 
 def _symbol_weights(field: FieldSpec, block: np.ndarray) -> np.ndarray:
     """(B, s, n) raw planes -> (B,) nonzero-symbol counts."""
-    nz8, _ = _mod_tables(field)
+    nz8, _ = _mod_tables(field.p)
     nz = nz8[block]
     sym = nz[:, 0]
     for j in range(1, block.shape[1]):
@@ -367,16 +372,14 @@ def information_set_bounds(
     target: int | None = None,
     work_budget: int = DEFAULT_WORK_BUDGET,
     sub_checker=None,
-    max_weight: int | None = None,
 ) -> ISResult:
     """Bound the minimum distance of the code generated by G.
 
     Stops as soon as the bounds meet (exact), the optional target lower
-    bound is certified, the optional max enumeration weight is reached,
-    or the work budget (enumerated messages) runs out.  sub_checker, if
-    given, maps a codeword array to True when it lies in a distinguished
-    subcode; the result then carries a second fact for the minimum
-    weight outside that subcode.
+    bound is certified, or the work budget (enumerated messages) runs
+    out.  sub_checker, if given, maps a codeword array to True when it
+    lies in a distinguished subcode; the result then carries a second
+    fact for the minimum weight outside that subcode.
     """
     k, n = G.shape
     if k < 1:
@@ -403,7 +406,7 @@ def information_set_bounds(
                 break
             if target is not None and lb >= target:
                 break
-            candidates = [f for f in forms if f.r < k and (max_weight is None or f.r < max_weight)]
+            candidates = [f for f in forms if f.r < k]
             if not candidates:
                 break
             form = min(candidates, key=lambda f: (step_cost(f), f.r, forms.index(f)))

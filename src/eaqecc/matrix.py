@@ -66,15 +66,6 @@ class MatrixFq:
     def identity(cls, field, n):
         return cls(field, np.eye(n, dtype=np.uint8))
 
-    @classmethod
-    def from_rows(cls, field, rows, cols=None):
-        rows = list(rows)
-        if not rows:
-            if cols is None:
-                raise PreconditionError("empty matrix needs an explicit column count")
-            return cls.zeros(field, 0, cols)
-        return cls(field, np.array(rows, dtype=np.uint8))
-
     # -- basic shape/access ----------------------------------------------------
 
     @property
@@ -219,9 +210,6 @@ class MatrixFq:
             for i, p in enumerate(pivots):
                 basis[bi, p] = NEG[Rarr[i, f]]
         return MatrixFq(self.field, basis)
-
-    def left_kernel(self) -> "MatrixFq":
-        return self.transpose().kernel()
 
     # -- text format ----------------------------------------------------------------
 

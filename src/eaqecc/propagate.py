@@ -20,7 +20,7 @@ import numpy as np
 
 from . import distance as dist
 from .codes import LinearCode
-from .construct import CONSTRUCT_WORK_BUDGET, EaqeccParams, hermitian_construct
+from .construct import CONSTRUCT_WORK_BUDGET, EaqeccParams, bound_gate, hermitian_construct
 from .distance import DistanceFact
 from .errors import (
     BudgetError,
@@ -498,7 +498,7 @@ def more_entanglement_step(Q: EaqeccParams, i: int, verify_cap: int = 10**6) -> 
         fresh = hermitian_construct(C2)
         assert (fresh.n, fresh.kappa, fresh.c) == (out.n, out.kappa, out.c)
         assert fresh.delta.value >= Q.delta.value
-    _gate(out)
+    bound_gate(out)
     return PropagationStep("more_ent", Q, out, {"i": i, "scalars": scalars, "code": C2})
 
 
@@ -509,7 +509,9 @@ def same_entanglement_step(
     enum_cap: int = dist.DEFAULT_ENUM_CAP,
     work_budget: int = CONSTRUCT_WORK_BUDGET,
 ) -> PropagationStep:
-    """[[n+1, kappa-1, delta'; c]] with delta <= delta' <= delta + 1.
+    """[[n+1, kappa-1, delta'; c]] with delta' >= delta, and delta' <= delta + 1
+    when the output is pure (an impure output's delta' counts only words
+    outside the hull, which can be heavier still).
 
     Applies the column extension to the Hermitian dual of the ingredient
     and reconstructs; the ebit count survives unchanged.
@@ -527,7 +529,9 @@ def same_entanglement_step(
     out = _rechain(out, Q, f"same_ent(search={search}, seed={seed})", C2)
     assert (out.n, out.kappa, out.c) == (Q.n + 1, Q.kappa - 1, Q.c)
     if out.delta.exact and Q.delta.exact:
-        assert Q.delta.value <= out.delta.value <= Q.delta.value + 1
+        d, d2 = Q.delta.value, out.delta.value
+        if d2 < d or (out.is_pure_at_delta() and d2 > d + 1):
+            raise EaqeccError(f"same-entanglement output distance {d2} out of range for {d}")
     cert = {"code": E2, "search": int(search), "seed": seed,
             "enum_cap": enum_cap, "work_budget": work_budget}
     return PropagationStep("same_ent", Q, out, cert)
@@ -749,24 +753,13 @@ def apply_simple_rule(Q: EaqeccParams, rule: int) -> EaqeccParams:
         purity=simple_rule_output_purity(rule, d2),
         provenance=Q.provenance + (f"rule{rule}",),
     )
-    _gate(out)
+    bound_gate(out)
     return out
 
 
 def apply_simple_rule_step(Q: EaqeccParams, rule: int) -> PropagationStep:
     out = apply_simple_rule(Q, rule)
     return PropagationStep(f"simple_{rule}", Q, out, {"rule": rule})
-
-
-def _gate(params: EaqeccParams):
-    from . import bounds
-
-    report = bounds.check_all(params)
-    if not report.ok:
-        raise EaqeccError(
-            f"derived parameters {params} violate bounds: "
-            + "; ".join(e.bound_id for e in report.violations)
-        )
 
 
 # --------------------------------------------------------------------------

@@ -3,10 +3,10 @@
 A CodeRecord is one claim [[n, kappa, delta; c]]_q with purity and
 source tags.  Stores key records by (q, n, kappa, c) and keep the best
 delta.  Expansion closes a store under a chosen subset of the eight
-single-step rules (bounded by a maximum length); compression keeps the
-records that no other stored record can reach, so a compressed table is
-dominance-free.  Since every rule is unary, the closure of a set is the
-union of single-record closures, which keeps both directions cheap.
+single-step rules (bounded by a maximum length) in one walk over all of
+its records at once; compression reads off the same walk which records
+no other stored record can reach, so a compressed table is
+dominance-free.
 
 Record line format: `q n kappa delta c purity source`, '#' comments
 allowed.  Bundled transcriptions of the published qubit and qutrit
@@ -17,11 +17,14 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import heapq
 import io
+import itertools
+import re
 from dataclasses import dataclass
 
 from . import propagate
-from .construct import EaqeccParams
+from .construct import EaqeccParams, is_pure_at
 from .distance import DistanceFact
 from .errors import DataIntegrityError, RecordParseError
 
@@ -45,11 +48,7 @@ class CodeRecord:
         return (self.q, self.n, self.kappa, self.c)
 
     def is_pure_at_delta(self) -> bool:
-        if self.purity == "pure":
-            return True
-        if self.purity.startswith("pure_to:"):
-            return int(self.purity.split(":", 1)[1]) >= self.delta
-        return False
+        return is_pure_at(self.purity, self.delta)
 
     def to_line(self) -> str:
         line = f"{self.q} {self.n} {self.kappa} {self.delta} {self.c} {self.purity} {self.source}"
@@ -70,7 +69,7 @@ class CodeRecord:
         if min(q, n) < 1 or min(kappa, delta, c) < 0:
             raise RecordParseError("parameters out of range", line_number)
         purity = toks[5] if len(toks) > 5 else "unknown"
-        if purity != "pure" and purity != "unknown" and not purity.startswith("pure_to:"):
+        if purity not in ("pure", "unknown") and not re.fullmatch(r"pure_to:[0-9]+", purity):
             raise RecordParseError(f"bad purity tag {purity!r}", line_number)
         source = toks[6] if len(toks) > 6 else "unknown"
         note = comment.strip() or None
@@ -131,131 +130,100 @@ def ingest(lines) -> TableStore:
 # --------------------------------------------------------------------------
 
 
-def _closure_map(rec: CodeRecord, rules, n_max, with_parents=False):
-    """Best reachable delta per (n, kappa, c, purebit), bucket search.
+def _walk(roots, rules, n_max):
+    """Close the union of the roots under the rules in one bucket pass.
 
-    Every rule keeps or lowers delta, so processing states in descending
-    delta order finalizes each state on first visit.  Returns
-    {(n, kappa, c, pure): delta} plus parent pointers when asked.
+    Every rule keeps or lowers delta, so taking cells in descending delta
+    order, and by root index within one delta, settles each cell at its
+    best (delta, root) on first visit.  Returns three maps over
+    (q, n, kappa, c, pure) cells: (delta, root_index) reachable in zero or
+    more steps, the best delta reachable in one or more steps, and the
+    (previous cell, rule) that settled each cell (None at a root).
     """
+    applicable = propagate.simple_rule_applicable
+    transform = propagate.simple_rule_transform
     rules = sorted(rules)
-    start = (rec.n, rec.kappa, rec.c, 1 if rec.is_pure_at_delta() else 0)
-    val = {start: rec.delta}
-    parent = {start: None} if with_parents else None
-    buckets = [[] for _ in range(rec.delta + 1)]
-    buckets[rec.delta].append(start)
-    for delta in range(rec.delta, 0, -1):
-        queue = buckets[delta]
-        qi = 0
-        while qi < len(queue):
-            state = queue[qi]
-            qi += 1
-            if val.get(state) != delta:
+    cells, stepped, parent = {}, {}, {}
+    buckets = [[] for _ in range(max((r.delta for r in roots), default=0) + 1)]
+    order = itertools.count()  # first come, first settled, as in a breadth-first search
+
+    def offer(cell, delta, idx, via):
+        cur = cells.get(cell)
+        if cur is None or delta > cur[0] or (delta == cur[0] and idx < cur[1]):
+            cells[cell] = (delta, idx)
+            parent[cell] = via
+            heapq.heappush(buckets[delta], (idx, next(order), cell))
+
+    for idx, rec in enumerate(roots):
+        offer(rec.key + (int(rec.is_pure_at_delta()),), rec.delta, idx, None)
+    for delta in range(len(buckets) - 1, -1, -1):
+        heap = buckets[delta]
+        while heap:
+            idx, _, cell = heapq.heappop(heap)
+            if cells[cell] != (delta, idx):
                 continue
-            n, kappa, c, pure = state
+            q, n, kappa, c, pure = cell
             for rule in rules:
-                ok, _ = propagate.simple_rule_applicable(
-                    rule, rec.q, n, kappa, delta, c, bool(pure)
-                )
-                if not ok:
+                if not applicable(rule, q, n, kappa, delta, c, pure)[0]:
                     continue
-                n2, k2, d2, c2 = propagate.simple_rule_transform(rule, n, kappa, delta, c)
-                if n2 > n_max or n2 < 1:
+                n2, k2, d2, c2 = transform(rule, n, kappa, delta, c)
+                if not 1 <= n2 <= n_max:
                     continue
-                pure2 = 1 if rule == 6 else 0
-                s2 = (n2, k2, c2, pure2)
-                if val.get(s2, -1) >= d2:
-                    continue
-                val[s2] = d2
-                if with_parents:
-                    parent[s2] = (state, rule)
-                buckets[d2].append(s2)
-    return (val, parent) if with_parents else val
-
-
-def _chain(parent, state):
-    rules = []
-    while parent[state] is not None:
-        state, rule = parent[state]
-        rules.append(rule)
-    return tuple(reversed(rules))
+                cell2 = (q, n2, k2, c2, int(rule == 6))
+                if stepped.get(cell2, -1) < d2:
+                    stepped[cell2] = d2
+                offer(cell2, d2, idx, (cell, rule))
+    return cells, stepped, parent
 
 
 class ExpandedStore:
-    """Closure of a store under a rule subset, kept as a lazy cell map."""
+    """Closure of a store under a rule subset, from one multi-source walk.
+
+    cells maps (q, n, kappa, c, pure) to (delta, root_index): the best
+    delta reachable from the roots and the first root reaching it.
+    stepped holds the best delta reachable in one or more steps.
+    """
 
     def __init__(self, roots, rules, n_max):
         self.roots = list(roots)
         self.rules = frozenset(rules)
         self.n_max = n_max
-        self.cells = {}  # (q, n, kappa, c, pure) -> (delta, root_index)
-        for idx, rec in enumerate(self.roots):
-            for (n, kappa, c, pure), d in _closure_map(rec, self.rules, n_max).items():
-                key = (rec.q, n, kappa, c, pure)
-                cur = self.cells.get(key)
-                if cur is None or d > cur[0]:
-                    self.cells[key] = (d, idx)
+        self.cells, self.stepped, self._parent = _walk(self.roots, self.rules, n_max)
 
-    def best_delta(self, q, n, kappa, c, need_pure=False):
-        """Best claimable delta at a cell (None if unreachable)."""
-        out = None
-        for pure in (0, 1):
-            if need_pure and not pure:
-                continue
-            hit = self.cells.get((q, n, kappa, c, pure))
-            if hit is not None and (out is None or hit[0] > out):
-                out = hit[0]
-        return out
-
-    def _delta_covers(self, reached, claimed) -> bool:
-        # without rule 3 the final distance cannot be lowered freely, and
-        # the cell map only retains per-cell maxima, so demand equality
-        if 3 in self.rules:
-            return reached >= claimed
-        return reached == claimed
-
-    def covers(self, rec: CodeRecord) -> bool:
-        q, n, kappa, c = rec.key
-        if rec.is_pure_at_delta():
-            hit = self.cells.get((q, n, kappa, c, 1))
-            return hit is not None and self._delta_covers(hit[0], rec.delta)
-        d = self.best_delta(q, n, kappa, c)
-        return d is not None and self._delta_covers(d, rec.delta)
+    def _chain(self, cell):
+        rules = []
+        while self._parent[cell] is not None:
+            cell, rule = self._parent[cell]
+            rules.append(rule)
+        return rules[::-1]
 
     def records(self, with_chains=False):
-        """Materialized best records, one per (q, n, kappa, c) cell."""
+        """Materialized best records, one per (q, n, kappa, c) cell.
+
+        A root holding the best delta of its own cell is emitted as
+        itself; any other record is derived from the first root reaching
+        it, tagged with the rule chain from that root when asked.
+        """
         best = {}
         for (q, n, kappa, c, pure), (d, idx) in self.cells.items():
             key = (q, n, kappa, c)
             cur = best.get(key)
             if cur is None or d > cur[0] or (d == cur[0] and pure > cur[1]):
                 best[key] = (d, pure, idx)
-        chains = {}
-        if with_chains:
-            for idx, rec in enumerate(self.roots):
-                if not any(i == idx for (_, _, i) in best.values()):
-                    continue
-                val, parent = _closure_map(rec, self.rules, self.n_max, with_parents=True)
-                for key, (d, pure, i) in best.items():
-                    if i != idx:
-                        continue
-                    state = (key[1], key[2], key[3], pure)
-                    if val.get(state) == d:
-                        chains[key] = _chain(parent, state)
+        own = {}
+        for rec in self.roots:
+            own.setdefault(rec.key + (int(rec.is_pure_at_delta()), rec.delta), rec)
         out = []
         for key in sorted(best):
             d, pure, idx = best[key]
-            root = self.roots[idx]
-            q, n, kappa, c = key
-            if (n, kappa, c, d) == (root.n, root.kappa, root.c, root.delta):
-                out.append(root)
-                continue
-            purity = f"pure_to:{d}" if pure else "unknown"
-            chain = chains.get(key)
-            tag = ",".join(str(r) for r in chain) if chain else "*"
-            out.append(
-                CodeRecord(q, n, kappa, d, c, purity, f"derived({root.source}:{tag})")
-            )
+            rec = own.get(key + (pure, d))
+            if rec is None:
+                q, n, kappa, c = key
+                purity = f"pure_to:{d}" if pure else "unknown"
+                tag = ",".join(map(str, self._chain(key + (pure,)))) if with_chains else "*"
+                source = f"derived({self.roots[idx].source}:{tag})"
+                rec = CodeRecord(q, n, kappa, d, c, purity, source)
+            out.append(rec)
         return out
 
 
@@ -268,26 +236,31 @@ def expand(store, rules=DEFAULT_RULES, n_max=None) -> ExpandedStore:
 
 
 def compress(records, rules=DEFAULT_RULES, n_max=None):
-    """Dominance-free subset: drop records another record can derive.
+    """Dominance-free subset: drop records the other records can derive.
 
-    Rule chains never return to their starting parameters, so the
-    maximal elements of a closure are always original records; it
-    suffices to test each record against the closures of the others.
+    A record is dominated when the best delta that the other records
+    reach at its cell covers its own; an impure record is also covered
+    from the pure cell of its parameters.  Rule chains never return to
+    their start, so the other records reach a cell either in one or more
+    steps from any root, or in zero steps when they sit there with a
+    different delta.  Any higher delta covers when rule 3 may lower it;
+    otherwise only an equal one does, since cells keep only their best
+    delta.  Copies of one record count once: the first survives.
     """
-    if isinstance(records, ExpandedStore):
-        roots = records.roots
-        rules = records.rules
-        n_max = records.n_max
-    else:
-        roots = list(records)
-        if n_max is None:
-            n_max = max((r.n for r in roots), default=1)
-    singles = [ExpandedStore([r], rules, n_max) for r in roots]
-    survivors = []
-    for i, rec in enumerate(roots):
-        dominated = any(j != i and singles[j].covers(rec) for j in range(len(roots)))
-        if not dominated:
-            survivors.append(rec)
+    exp = records if isinstance(records, ExpandedStore) else expand(records, rules, n_max)
+    survivors, kept = [], set()
+    for rec in exp.roots:
+        cell = rec.key + (int(rec.is_pure_at_delta()),)
+        if cell + (rec.delta,) in kept:
+            continue
+        top = exp.cells[cell][0]  # above the record's own delta only from others
+        reached = top if top > rec.delta else exp.stepped.get(cell, -1)
+        if not cell[4]:
+            reached = max(reached, exp.cells.get(rec.key + (1,), (-1,))[0])
+        if reached == rec.delta or (reached > rec.delta and 3 in exp.rules):
+            continue
+        kept.add(cell + (rec.delta,))
+        survivors.append(rec)
     return survivors
 
 

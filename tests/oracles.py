@@ -61,3 +61,47 @@ def brute_matmul(field, A, B):
                 acc = field.add(acc, field.mul(int(A[i][t]), int(B[t][j])))
             out[i][j] = acc
     return out
+
+
+def rule_step(rule, q, n, kappa, delta, c, pure):
+    """Parameters one printed rule derives, as (n, kappa, delta, c, pure), or None."""
+    free = n - kappa - c  # room for more ebits
+    table = {
+        1: (True, (n + 1, kappa, delta, c, 0)),
+        2: (kappa >= 1, (n, kappa - 1, delta, c, 0)),
+        3: (delta >= 2, (n, kappa, delta - 1, c, 0)),
+        4: (free >= 1, (n, kappa, delta, c + 1, 0)),
+        5: (delta >= 2 and free >= 1, (n - 1, kappa, delta - 1, c, 0)),
+        6: (pure and q > 2 and free >= 2, (n, kappa + 1, delta, c + 1, 1)),
+        7: (free >= 2, (n - 1, kappa, delta, c + 1, 0)),
+        8: (pure and delta >= 2 and free >= 2, (n - 1, kappa + 1, delta - 1, c, 0)),
+    }
+    ok, out = table[rule]
+    return out if ok else None
+
+
+def rule_successors(cell, delta, rules, n_max):
+    """(cell, delta) pairs one rule step away, cells being (q, n, kappa, c, pure)."""
+    q, n, kappa, c, pure = cell
+    for rule in rules:
+        out = rule_step(rule, q, n, kappa, delta, c, pure)
+        if out is not None and 1 <= out[0] <= n_max:
+            n2, k2, d2, c2, p2 = out
+            yield (q, n2, k2, c2, p2), d2
+
+
+def rule_closure(seeds, rules, n_max):
+    """Best delta per cell reachable from (cell, delta) seeds in zero or more steps.
+
+    A plain worklist relaxation: a cell is expanded again whenever its
+    best delta improves.
+    """
+    best = {}
+    work = list(seeds)
+    while work:
+        cell, delta = work.pop()
+        if best.get(cell, -1) >= delta:
+            continue
+        best[cell] = delta
+        work.extend(rule_successors(cell, delta, rules, n_max))
+    return best

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import eaqecc
+from eaqecc import cli
 from eaqecc import propagate as prop
 from eaqecc.codes import LinearCode
 from eaqecc.fields import GF
@@ -230,3 +231,4 @@ def test_cli_error_paths(tmp_path):
     assert code == 2
     code, _, stderr = run_cli("construct", "--route", "css", str(DATA / "g16_5_9.txt"))
     assert code == 2 and "second code" in stderr
+    assert cli.main(["bounds", "--record", "3 6 1 5 3 pure_to:abc x"]) == 2

@@ -229,6 +229,20 @@ def test_same_entanglement_golden():
     assert best.purity == "pure"
 
 
+def test_same_entanglement_impure_output_gains_more_than_one():
+    # the pure [[10,2,5;6]]_2: the searched extension gives an impure code
+    # whose distance outside the hull is 7 > 5 + 1
+    rows = "1000000130 0100000220 0010000113 0001000010 0000100012 0000010311 0000001321"
+    C = LinearCode(F4, [[int(ch) for ch in r] for r in rows.split()])
+    Q = hermitian_construct(C)
+    assert (str(Q), Q.purity) == ("[[10,2,5;6]]_2", "pure")
+    step = prop.same_entanglement_step(Q, search=True)
+    out = step.output_params
+    assert (str(out), out.purity) == ("[[11,1,7;6]]_2", "pure_to:6")
+    again = prop.replay_step(prop.step_from_text(prop.step_to_text(step)))
+    assert (str(again), again.purity) == (str(out), out.purity)
+
+
 def test_same_entanglement_preconditions():
     C = LinearCode(F9, np.array([[1, 0, 1, 1], [0, 1, 1, 2]], dtype=np.uint8))
     Q = hermitian_construct(C)  # kappa = 0, c = 0

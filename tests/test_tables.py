@@ -1,9 +1,11 @@
 import hashlib
 import pathlib
+import random
 import shutil
 
 import pytest
 
+import oracles
 from eaqecc.errors import DataIntegrityError, RecordParseError
 from eaqecc.tables import (
     CodeRecord,
@@ -40,6 +42,9 @@ def test_record_parse_errors_carry_line_numbers():
     assert e.value.line_number == 2
     with pytest.raises(RecordParseError):
         ingest(["3 6 1 5 3 shiny src"])
+    for tag in ("pure_to:abc", "pure_to:", "pure_to:-1"):
+        with pytest.raises(RecordParseError):
+            CodeRecord.from_line(f"3 6 1 5 3 {tag} src")
 
 
 def test_ingest_dedupes_keeping_max_delta():
@@ -98,6 +103,97 @@ def test_compress_keeps_incomparable_records():
     assert sorted(compress(records), key=lambda r: r.key) == sorted(
         records, key=lambda r: r.key
     )
+
+
+def test_compress_keeps_one_copy_of_a_repeated_record():
+    r = rec(3, 6, 1, 5, 3)
+    assert compress([r, r]) == [r]
+
+
+def _cell(r):
+    return r.key + (int(r.is_pure_at_delta()),)
+
+
+def _random_records(seed, size=16, n_top=5):
+    rng = random.Random(seed)
+    out = []
+    for i in range(size):
+        if out and rng.random() < 0.15:
+            out.append(rng.choice(out))  # a repeated record
+            continue
+        q, n = rng.choice((2, 3)), rng.randint(1, n_top)
+        kappa = rng.randint(0, n)
+        c = rng.randint(0, n - kappa)
+        delta = rng.randint(1, 4)
+        purity = rng.choice(("pure", "unknown", f"pure_to:{delta - 1}"))
+        out.append(CodeRecord(q, n, kappa, delta, c, purity, f"r{i}"))
+    return out
+
+
+def _oracle_compress(records, rules, n_max):
+    """Records that no other record reaches, from the worklist closure."""
+    stepped = oracles.rule_closure(
+        [s for r in records for s in oracles.rule_successors(_cell(r), r.delta, rules, n_max)],
+        rules,
+        n_max,
+    )
+    survivors, seen = [], set()
+    for r in records:
+        claim = _cell(r) + (r.delta,)
+        if claim in seen:
+            continue
+        checked = {_cell(r), r.key + (1,)}  # an impure record is also covered by a pure one
+        reached = max(
+            [stepped.get(x, -1) for x in checked]
+            + [o.delta for o in records if _cell(o) in checked and _cell(o) + (o.delta,) != claim]
+        )
+        if reached == r.delta or (3 in rules and reached > r.delta):
+            continue
+        seen.add(claim)
+        survivors.append(r)
+    return survivors
+
+
+def _replay_chain(root, chain):
+    (q, n, kappa, c, pure), delta = _cell(root), root.delta
+    for rule in chain:
+        n, kappa, delta, c, pure = oracles.rule_step(rule, q, n, kappa, delta, c, pure)
+    return (q, n, kappa, c), delta, pure
+
+
+@pytest.mark.parametrize(
+    "rules", [{1}, {1, 3}, {6}, {1, 2, 3, 4, 5}, {1, 2, 4, 5, 7}, set(range(1, 9))], ids=str
+)
+def test_closure_matches_worklist_oracle(rules):
+    n_max = 7
+    for seed in range(6):
+        records = _random_records(seed)
+        exp = expand(records, rules=rules, n_max=n_max)
+        seeds = [(_cell(r), r.delta) for r in records]
+        want = oracles.rule_closure(seeds, rules, n_max)
+        assert {cell: d for cell, (d, _) in exp.cells.items()} == want
+        singles = [oracles.rule_closure([s], rules, n_max) for s in seeds]
+        for cell, (d, idx) in exp.cells.items():
+            assert idx == min(i for i, s in enumerate(singles) if s.get(cell) == d)
+        survivors = _oracle_compress(records, rules, n_max)
+        assert compress(exp) == survivors
+        assert compress(records, rules=rules, n_max=n_max) == survivors
+        best = {}
+        for (q, n, kappa, c, _), d in want.items():
+            best[(q, n, kappa, c)] = max(d, best.get((q, n, kappa, c), -1))
+        by_source = {r.source: r for r in records}
+        chained = exp.records(with_chains=True)
+        assert [(r.key, r.delta) for r in chained] == sorted(best.items())
+        assert [(r.key, r.delta, r.purity) for r in exp.records()] == [
+            (r.key, r.delta, r.purity) for r in chained
+        ]
+        for r in chained:
+            if not r.source.startswith("derived("):
+                assert r in records
+                continue
+            name, _, tag = r.source[len("derived("):-1].partition(":")
+            chain = [int(t) for t in tag.split(",")]
+            assert _replay_chain(by_source[name], chain) == (r.key, r.delta, r.is_pure_at_delta())
 
 
 def test_query_prefers_higher_delta_then_smaller_c():

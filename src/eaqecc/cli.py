@@ -330,11 +330,21 @@ def cmd_verify_paper(args, w):
 # -- parser -------------------------------------------------------------------
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type of budgets and caps: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
-    common.add_argument("--budget", type=int, default=10**4, help="trial/work budget")
-    common.add_argument("--enum-cap", type=int, default=10**8, help="max q^k for full enumeration")
+    common.add_argument("--budget", type=non_negative_int, default=10**4, help="trial/work budget")
+    common.add_argument(
+        "--enum-cap", type=non_negative_int, default=10**8, help="max q^k for full enumeration"
+    )
     common.add_argument("--format", choices=("text", "machine"), default="text")
 
     p = argparse.ArgumentParser(prog="eaqecc", description=__doc__)
@@ -389,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("min-ent", parents=[common], help="minimum-entanglement diagonal search")
     sp.add_argument("code")
     sp.add_argument("--mode", choices=("exhaustive", "randomized"), default="exhaustive")
-    sp.add_argument("--cap", type=int, default=propagate.DEFAULT_SPACE_CAP)
+    sp.add_argument("--cap", type=non_negative_int, default=propagate.DEFAULT_SPACE_CAP)
     sp.add_argument("--out-step")
     sp.set_defaults(func=cmd_min_ent)
 

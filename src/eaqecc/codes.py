@@ -12,7 +12,7 @@ import numpy as np
 
 from . import distance as dist
 from .distance import DistanceFact
-from .errors import InvalidFieldError, PreconditionError
+from .errors import EaqeccError, InvalidFieldError, PreconditionError
 from .fields import FieldSpec
 from .matrix import MatrixFq, gf_matmul
 
@@ -103,7 +103,8 @@ class LinearCode:
             left = gram.transpose().kernel()  # u with u (G G^dagger) = 0
             basis = MatrixFq(self.field, gf_matmul(left.array, self.G.array, self.field))
             R, rank, _ = basis.rref()
-            assert rank == basis.rows
+            if rank != basis.rows:
+                raise EaqeccError("hull basis rows are dependent")
             self._cache["hull"] = (R, rank)
         return self._cache["hull"]
 
@@ -169,18 +170,6 @@ class LinearCode:
             self._cache[key] = fact
         return fact
 
-    def codewords(self):
-        """All q^k codewords as tuples (small codes only; test-scale helper)."""
-        import itertools
-
-        f = self.field
-        rows = self.G.array
-        for combo in itertools.product(range(f.order), repeat=self.k):
-            word = np.zeros(self.n, dtype=np.uint8)
-            for c, row in zip(combo, rows):
-                word = f.ADD[word, f.MUL[c, row]]
-            yield tuple(int(v) for v in word)
-
     # -- files --------------------------------------------------------------------
 
     def to_text(self) -> str:
@@ -243,7 +232,8 @@ def _adapted_rows(big: LinearCode, sub: LinearCode) -> np.ndarray:
         trial = MatrixFq(big.field, np.array(taken + [cand], dtype=np.uint8))
         if trial.rank() == len(taken) + 1:
             taken.append(cand)
-    assert len(taken) == big.k
+    if len(taken) != big.k:
+        raise EaqeccError("subcode rows do not extend to a basis of the code")
     return np.array(taken, dtype=np.uint8)
 
 

@@ -157,9 +157,7 @@ def _fact_min(f1: DistanceFact, f2: DistanceFact) -> DistanceFact:
         return f.value if f.certainty in ("exact", "lower_bound") else 0
 
     def up(f):
-        if f.exact:
-            return f.value, f.witness
-        if f.certainty == "upper_bound":
+        if f.exact or f.certainty == "upper_bound":
             return f.value, f.witness
         return f.upper, f.upper_witness
 

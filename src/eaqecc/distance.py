@@ -1,18 +1,21 @@
 """Minimum-weight search over linear code spans.
 
-Two engines share a common vectorized core:
+Two walks cover every search, both built by one expansion step:
 
-* full span scanning - every codeword up to scalar multiples, exact
-  answer, feasible while q^k stays below the enumeration cap;
-* an information-set bounding loop - several systematic generator
-  matrices over (mostly) disjoint pivot sets are enumerated by message
-  weight, tightening a lower bound while low-weight witnesses tighten
-  the upper bound, until the two meet or a work budget runs out.
+* the scalar-class walk (`span_blocks`) visits every codeword up to
+  scalar multiples in a fixed order.  It serves the exact scan
+  (`span_weight_scan`, while q^k stays below the enumeration cap) and,
+  as value blocks (`span_values`), the word and column searches of the
+  propagation rules and the all-nonzero search of the puncture space;
+* the by-weight walk of the information-set loop enumerates several
+  systematic generator matrices over (mostly) disjoint pivot sets by
+  message weight, tightening a lower bound while low-weight witnesses
+  tighten the upper bound, until the two meet or a budget runs out.
 
 Codewords are handled as per-digit planes (base-p coefficients of each
-symbol) so that field addition becomes plain integer addition with a
-deferred reduction; only tiny 256-entry lookup tables appear in the
-inner loops.
+symbol), private to this module, so that field addition becomes plain
+integer addition with a deferred reduction; only tiny 256-entry lookup
+tables appear in the inner loops.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, PreconditionError
+from .errors import BudgetError, EaqeccError, PreconditionError
 from .fields import FieldSpec
 
 DEFAULT_ENUM_CAP = 10**8
@@ -82,17 +85,13 @@ def _row_multiple_planes(field: FieldSpec, row: np.ndarray) -> np.ndarray:
 
 
 def _planes_to_values(field: FieldSpec, planes: np.ndarray) -> np.ndarray:
-    """(s, n) raw planes -> encoded element values, reducing mod p."""
+    """(..., s, n) raw planes -> (..., n) encoded element values, reducing mod p."""
     _, val8 = _mod_tables(field.p)
-    out = np.zeros(planes.shape[1], dtype=np.int64)
-    for j in range(field.s - 1, -1, -1):
-        out = out * field.p + val8[planes[j]]
-    return out.astype(np.uint8)
-
-
-def _reduce_planes(field: FieldSpec, planes: np.ndarray) -> np.ndarray:
-    _, val8 = _mod_tables(field.p)
-    return val8[planes]
+    out = val8[planes[..., -1, :]]
+    for j in range(field.s - 2, -1, -1):
+        # every partial value is below the final one, so uint8 never wraps
+        out = out * field.p + val8[planes[..., j, :]]
+    return out
 
 
 def _add_planes(field: FieldSpec, A: np.ndarray, B: np.ndarray, reduce_now: bool) -> np.ndarray:
@@ -101,7 +100,7 @@ def _add_planes(field: FieldSpec, A: np.ndarray, B: np.ndarray, reduce_now: bool
         # two reduced planes can sum past 255; widen, reduce, narrow
         return ((A.astype(np.uint16) + B) % field.p).astype(np.uint8)
     T = A + B
-    return _reduce_planes(field, T) if reduce_now else T
+    return _mod_tables(field.p)[1][T] if reduce_now else T
 
 
 def _symbol_weights(field: FieldSpec, block: np.ndarray) -> np.ndarray:
@@ -112,25 +111,6 @@ def _symbol_weights(field: FieldSpec, block: np.ndarray) -> np.ndarray:
     for j in range(1, block.shape[1]):
         sym = sym | nz[:, j]
     return sym.sum(axis=1, dtype=np.int64)
-
-
-class _Best:
-    """Running minimum with witness planes."""
-
-    __slots__ = ("weight", "planes")
-
-    def __init__(self):
-        self.weight = None
-        self.planes = None
-
-    def offer(self, wts: np.ndarray, block: np.ndarray):
-        if wts.size == 0:
-            return
-        i = int(np.argmin(wts))
-        w = int(wts[i])
-        if self.weight is None or w < self.weight:
-            self.weight = w
-            self.planes = block[i].copy()
 
 
 @dataclass
@@ -150,11 +130,14 @@ def span_weight_scan(
     sub_rows: int = 0,
     cap: int = DEFAULT_ENUM_CAP,
 ) -> SpanScan:
-    """Scan the span of `rows` (one representative per scalar class).
+    """Minimum weights over span(rows), one word per scalar class.
 
     The first `sub_rows` rows generate a distinguished subcode;
     `outside_min` is the minimum weight over span \\ subcode.  With
     sub_rows=0 the subcode is {0} and outside_min equals min_weight.
+    The scan is one fold over span_blocks with the subcode rows moved
+    last, so a word lies outside the subcode exactly when its lead row
+    does; each witness is the first lightest word in that walk.
     Raises BudgetError when q^k exceeds the cap.
     """
     k, n = rows.shape
@@ -163,67 +146,73 @@ def span_weight_scan(
         raise PreconditionError("sub_rows out of range")
     if q**k > cap:
         raise BudgetError(f"q^k = {q}^{k} exceeds enumeration cap {cap}")
-    mults = [_row_multiple_planes(field, rows[i]) for i in range(k)]
-    best_all = _Best()
-    best_out = _Best()
+    order = list(range(sub_rows, k)) + list(range(sub_rows))
+    best = {}  # "all", and "out" with a subcode: (weight, witness planes)
     scanned = 0
+    for lead, block in span_blocks(field, rows[order]):
+        wts = _symbol_weights(field, block)
+        i = int(np.argmin(wts))
+        for key in ("all", "out") if sub_rows and lead < k - sub_rows else ("all",):
+            if key not in best or wts[i] < best[key][0]:
+                best[key] = int(wts[i]), block[i].copy()
+        scanned += len(block)
 
-    def scan(lead, free, best_targets):
-        nonlocal scanned
-        scanned += _scan_lead(field, mults, lead, free, best_targets)
-
-    for lead in range(sub_rows, k):
-        free = list(range(lead + 1, k)) + list(range(sub_rows))
-        scan(lead, free, (best_all, best_out))
-    for lead in range(sub_rows):
-        scan(lead, list(range(lead + 1, sub_rows)), (best_all,))
-
-    def unpack(b):
-        if b.weight is None:
+    def unpack(key):
+        if key not in best:
             return None, None
-        return b.weight, tuple(int(v) for v in _planes_to_values(field, b.planes))
+        w, planes = best[key]
+        return w, tuple(int(v) for v in _planes_to_values(field, planes))
 
-    w_all, wit_all = unpack(best_all)
-    w_out, wit_out = unpack(best_out) if sub_rows else (w_all, wit_all)
+    w_all, wit_all = unpack("all")
+    w_out, wit_out = unpack("out") if sub_rows else (w_all, wit_all)
     return SpanScan(w_all, wit_all, w_out, wit_out, scanned)
 
 
 def _block_split(q: int, count: int):
     """How many trailing free rows to expand as one tensor block."""
     b = 0
-    size = 1
-    while b < count and size * q <= _BLOCK_TARGET:
-        size *= q
+    while b < count and q ** (b + 1) <= _BLOCK_TARGET:
         b += 1
     return b
 
 
-def _scan_lead(field, mults, lead, free, best_targets) -> int:
-    """Scan words lead_row + span(free rows), lead coefficient fixed to 1."""
-    q, p, s = field.order, field.p, field.s
-    n = mults[0].shape[2]
-    b = _block_split(q, len(free))
-    suffix, prefix = free[len(free) - b :], free[: len(free) - b]
-    reduce_levels = (p - 1) * (b + 2) > 255
+def _expand(field, T, mult, reduce_now) -> np.ndarray:
+    """Every word of T plus every plane of mult, T's index varying slowest."""
+    s, n = mult.shape[1:]
+    return _add_planes(field, T[:, None], mult[None], reduce_now).reshape(-1, s, n)
 
-    T = np.zeros((1, s, n), dtype=np.uint8)
-    for r in suffix:
-        T = _add_planes(
-            field, T[:, None, :, :], mults[r][None, :, :, :], reduce_levels
-        ).reshape(-1, s, n)
 
-    base = mults[lead][1]
-    scanned = 0
-    for combo in itertools.product(range(q), repeat=len(prefix)):
-        pw = base
-        for r, cf in zip(prefix, combo):
-            pw = _add_planes(field, pw, mults[r][cf], True)
-        block = _add_planes(field, T, pw[None, :, :], reduce_levels)
-        wts = _symbol_weights(field, block)
-        for tgt in best_targets:
-            tgt.offer(wts, block)
-        scanned += block.shape[0]
-    return scanned
+def span_blocks(field: FieldSpec, rows: np.ndarray):
+    """Yield (lead, (B, s, n) plane block) over span(rows), one word per scalar class.
+
+    Each word is rows[lead] + sum_{r > lead} c_r rows[r]; leads ascend
+    and, within a lead, the tails (c_{lead+1}, ..., c_{k-1}) come in
+    lexicographic order.
+    """
+    k, n = rows.shape
+    q, s = field.order, field.s
+    mults = [_row_multiple_planes(field, rows[i]) for i in range(k)]
+    built = None
+    for lead in range(k):
+        b = _block_split(q, k - lead - 1)
+        reduce_levels = (field.p - 1) * (b + 2) > 255
+        if built != b:  # the span of the trailing b rows, shared across leads
+            T = np.zeros((1, s, n), dtype=np.uint8)
+            for r in range(k - b, k):
+                T = _expand(field, T, mults[r], reduce_levels)
+            built = b
+        prefix = range(lead + 1, k - b)
+        for combo in itertools.product(range(q), repeat=len(prefix)):
+            pw = mults[lead][1]
+            for r, cf in zip(prefix, combo):
+                pw = _add_planes(field, pw, mults[r][cf], True)
+            yield lead, _add_planes(field, T, pw[None], reduce_levels)
+
+
+def span_values(field: FieldSpec, rows: np.ndarray):
+    """span_blocks with each block as (B, n) encoded field elements."""
+    for lead, block in span_blocks(field, rows):
+        yield lead, _planes_to_values(field, block)
 
 
 # --------------------------------------------------------------------------
@@ -293,7 +282,8 @@ class _ISState:
         from .matrix import gf_matmul
 
         word = gf_matmul(msg[None, :], form.G, self.field)[0]
-        assert int((word != 0).sum()) == weight
+        if int((word != 0).sum()) != weight:
+            raise EaqeccError(f"information-set word does not have weight {weight}")
         if weight < self.ub:
             self.ub = weight
             self.witness = tuple(int(v) for v in word)
@@ -330,16 +320,20 @@ def _bz_weight_pass(state: _ISState, form: _SystematicForm, w: int):
     def leaf(T, support):
         wts = w + _symbol_weights(field, T)
         state.charge(T.shape[0])
-        i = int(np.argmin(wts))
-        if int(wts[i]) < state.threshold:
-            coeffs = [1]
+        # offer every word below the threshold, lightest first: a light
+        # word of the subcode must not hide a light word outside it
+        while True:
+            i = int(np.argmin(wts))
+            if int(wts[i]) >= state.threshold:
+                return
+            coeffs = []
             rest = i
             for _ in range(w - 1):
                 coeffs.append(rest % (q - 1) + 1)
                 rest //= q - 1
             # flat index enumerates later levels fastest; rebuild in order
-            coeffs = [1] + list(reversed(coeffs[1:]))
-            state.offer_message(form, support, coeffs, int(wts[i]))
+            state.offer_message(form, support, [1] + coeffs[::-1], int(wts[i]))
+            wts[i] = state.n + 1
 
     def rec(start, depth, T, support):
         remaining = w - depth
@@ -347,9 +341,7 @@ def _bz_weight_pass(state: _ISState, form: _SystematicForm, w: int):
             if depth == 0:
                 T2 = mults[i][1:2].copy()
             else:
-                T2 = _add_planes(
-                    field, T[:, None, :, :], mults[i][None, 1:, :, :], reduce_levels
-                ).reshape(-1, s, m)
+                T2 = _expand(field, T, mults[i][1:], reduce_levels)
             if depth + 1 == w:
                 leaf(T2, support + [i])
             else:
@@ -379,7 +371,9 @@ def information_set_bounds(
     bound is certified, or the work budget (enumerated messages) runs
     out.  sub_checker, if given, maps a codeword array to True when it
     lies in a distinguished subcode; the result then carries a second
-    fact for the minimum weight outside that subcode.
+    fact for the minimum weight outside that subcode, and the loop runs
+    until the bounds outside the subcode meet (the whole code's bounds
+    meet no later).
     """
     k, n = G.shape
     if k < 1:
@@ -391,7 +385,7 @@ def information_set_bounds(
     def lower_bound():
         lb = sum(max(0, f.r + 1 - f.deficit) for f in forms)
         if any(f.r >= k for f in forms):
-            lb = max(lb, state.ub)  # fully enumerated
+            lb = max(lb, state.threshold)  # fully enumerated
         return min(lb, n + 1)
 
     def step_cost(f):
@@ -402,7 +396,7 @@ def information_set_bounds(
     try:
         while True:
             lb = lower_bound()
-            if state.ub <= lb:
+            if state.threshold <= lb:
                 break
             if target is not None and lb >= target:
                 break

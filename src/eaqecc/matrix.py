@@ -19,8 +19,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidFieldError, PreconditionError, RecordParseError
+from .errors import EaqeccError, InvalidFieldError, PreconditionError, RecordParseError
 from .fields import GF, FieldSpec
+
+
+MAX_TEXT_DIM = 1 << 16  # larger text-format shapes are rejected before allocating
+
+
+def check_text_shape(rows: int, cols: int, line_number=None):
+    """Raise RecordParseError unless 0 <= rows, cols <= MAX_TEXT_DIM."""
+    if not (0 <= rows <= MAX_TEXT_DIM and 0 <= cols <= MAX_TEXT_DIM):
+        raise RecordParseError(f"shape {rows}x{cols} outside [0, {MAX_TEXT_DIM}]", line_number)
 
 
 def gf_matmul(A: np.ndarray, B: np.ndarray, field: FieldSpec) -> np.ndarray:
@@ -239,11 +248,12 @@ class MatrixFq:
             cols = int(header.pop("cols"))
         except (KeyError, ValueError) as exc:
             raise RecordParseError(f"header needs integer q/rows/cols ({exc})", 1) from None
+        check_text_shape(rows, cols, 1)
         field = GF(q)
-        data = np.zeros((rows, cols), dtype=np.uint8)
         body = [ln for ln in lines[1:] if ln.strip()]
         if len(body) != rows:
             raise RecordParseError(f"expected {rows} rows, found {len(body)}", len(lines))
+        data = np.zeros((rows, cols), dtype=np.uint8)
         for i, ln in enumerate(body):
             vals = ln.split()
             if len(vals) != cols:
@@ -335,12 +345,11 @@ def hermitian_congruence_diagonalize(A: MatrixFq, rng=None):
     want = np.zeros((k, k), dtype=np.uint8)
     for i in range(s):
         want[i, i] = 1
-    assert np.array_equal(M, want), "diagonalization postcondition failed"
-    Dm = MatrixFq(field, D)
-    assert np.array_equal(
-        gf_matmul(gf_matmul(D, A.array, field), field.CONJ[D].T, field), want
-    ), "congruence identity failed"
-    return Dm, s
+    if not np.array_equal(M, want):
+        raise EaqeccError("diagonalization postcondition failed")
+    if not np.array_equal(gf_matmul(gf_matmul(D, A.array, field), field.CONJ[D].T, field), want):
+        raise EaqeccError("congruence identity failed")
+    return MatrixFq(field, D), s
 
 
 def _random_nonsingular(field, k, rng) -> MatrixFq:

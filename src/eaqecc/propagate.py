@@ -30,7 +30,7 @@ from .errors import (
     RuleNotApplicableError,
 )
 from .fields import GF
-from .matrix import MatrixFq, gf_matmul, hermitian_congruence_diagonalize
+from .matrix import MatrixFq, check_text_shape, gf_matmul, hermitian_congruence_diagonalize
 
 DEFAULT_SEARCH_BUDGET = 10**4
 DEFAULT_SPACE_CAP = 2**20
@@ -73,7 +73,8 @@ def hull_reduce_scalars(C: LinearCode, ell_target: int):
         for col in hull_pivots[: ell - ell_target]:
             scalars[col] = a
     scaled = C.scale_columns(scalars)
-    assert scaled.hull_dim == ell_target
+    if scaled.hull_dim != ell_target:
+        raise EaqeccError(f"column scaling gave hull dim {scaled.hull_dim}, not {ell_target}")
     return tuple(scalars), scaled
 
 
@@ -132,7 +133,8 @@ def _extend_column_with_cert(C, column, position, alpha, rng):
     s = C.k - ell
     gram = C.gram_hermitian()
     D, rank = hermitian_congruence_diagonalize(gram, rng=rng)
-    assert rank == s
+    if rank != s:
+        raise EaqeccError(f"Gram matrix has rank {rank}, expected k - hull dim = {s}")
     if not 0 <= position < s:
         raise PreconditionError(f"column position must lie in [0, {s})")
     if alpha is None:
@@ -143,7 +145,8 @@ def _extend_column_with_cert(C, column, position, alpha, rng):
     col = np.zeros((C.k, 1), dtype=np.uint8)
     col[position, 0] = alpha
     out = LinearCode(field, np.hstack([DG, col]))
-    assert out.hull_dim == ell + 1 and out.k == C.k
+    if out.hull_dim != ell + 1 or out.k != C.k:
+        raise EaqeccError("column extension did not raise the hull dimension by one")
     # same code in the original basis: G' = [G | D^{-1} col]
     col_orig = gf_matmul(D.inverse().array, col, field)[:, 0]
     return out, col_orig
@@ -175,63 +178,41 @@ def _extend_column_search_with_cert(C, seed, gram_samples, enum_cap, class_cap):
     if field.order**C.k > enum_cap:
         raise BudgetError("extension search needs enumerable distances")
     base_d = C.min_distance(enum_cap=enum_cap).value
-    best = None
-
-    def offer(cand, col):
-        nonlocal best
-        d2 = cand.min_distance(enum_cap=enum_cap).value
-        assert base_d <= d2 <= base_d + 1
-        if best is None or d2 > best[0]:
-            best = (d2, cand, col)
-        return best[0] == base_d + 1
-
     # scaling the new column by lambda multiplies its Gram contribution by
     # norm(lambda): distance is scale-invariant but the hull is not, so scan
     # one representative per norm value on top of each scalar class
     norm_reps = [field.solve_norm(t) for t in range(1, field.subfield_order)]
     classes = (field.order**C.k - 1) // (field.order - 1) * len(norm_reps)
-    done = False
-    if classes <= class_cap:
-        for base_col in _scalar_class_columns(field, C.k):
-            for mu in norm_reps:
-                col = field.MUL[mu, base_col]
-                try:
-                    cand = extend_with_column(C, col)
-                except PreconditionError:
-                    continue
-                if offer(cand, col):
-                    done = True
-                    break
-            if done:
-                break
-    else:
+
+    def candidates():
+        if classes <= class_cap:
+            for _, cols in dist.span_values(field, np.eye(C.k, dtype=np.uint8)):
+                for col in (field.MUL[mu, base] for base in cols for mu in norm_reps):
+                    try:
+                        cand = extend_with_column(C, col)
+                    except PreconditionError:
+                        continue
+                    yield cand, col
+            return
         alphas = [a for a in field.elements() if field.norm(a) == field.neg(1)]
         rng = np.random.default_rng(seed)
-        grams = [None] + [rng for _ in range(max(0, gram_samples - 1))]
-        for g in grams:
+        for g in [None] + [rng] * max(0, gram_samples - 1):
             for position in range(s):
                 for alpha in alphas:
-                    cand, col = _extend_column_with_cert(C, None, position, alpha, g)
-                    if offer(cand, col):
-                        done = True
-                        break
-                if done:
-                    break
-            if done:
-                break
+                    yield _extend_column_with_cert(C, None, position, alpha, g)
+
+    best = None
+    for cand, col in candidates():
+        d2 = cand.min_distance(enum_cap=enum_cap).value
+        if not base_d <= d2 <= base_d + 1:
+            raise EaqeccError(f"column extension changed distance {base_d} to {d2}")
+        if best is None or d2 > best[0]:
+            best = (d2, cand, col)
+        if d2 == base_d + 1:
+            break
     if best is None:
         raise RuleNotApplicableError("no hull-raising column exists")
     return best[1], best[2]
-
-
-def _scalar_class_columns(field, k):
-    """Column candidates, one per scalar class, lexicographic order."""
-    for lead in range(k):
-        for tail in itertools.product(range(field.order), repeat=k - lead - 1):
-            col = np.zeros(k, dtype=np.uint8)
-            col[lead] = 1
-            col[lead + 1 :] = tail
-            yield col
 
 
 def extend_row_column(C: LinearCode, word) -> LinearCode:
@@ -257,7 +238,8 @@ def extend_row_column(C: LinearCode, word) -> LinearCode:
     top = np.hstack([C.G.array, np.zeros((C.k, 1), dtype=np.uint8)])
     bottom = np.concatenate([w, [beta]]).astype(np.uint8)
     out = LinearCode(field, np.vstack([top, bottom[None, :]]))
-    assert out.hull_dim == ell + 1 and out.k == C.k + 1
+    if out.hull_dim != ell + 1 or out.k != C.k + 1:
+        raise EaqeccError("row and column extension did not raise the hull dimension by one")
     return out
 
 
@@ -372,7 +354,11 @@ def find_all_nonzero_vector(
 
     Exhaustive scan while p^dim fits under the cap; otherwise a seeded
     sample, whose failure leaves the question open (found=False,
-    exhaustive=False).
+    exhaustive=False).  The exhaustive vector is the first hit in
+    product order of the message (c_0, ..., c_{dim-1}).  That message
+    has leading coefficient 1 (scaling keeps a vector all-nonzero) and
+    the most leading zeros, so it is the first hit of the last lead row
+    with a hit in the scalar-class walk, which checks whole blocks.
     """
     field = space.field
     dim, n = space.rows, space.cols
@@ -381,13 +367,16 @@ def find_all_nonzero_vector(
     total = field.order**dim
     rows = space.array
     if total <= cap:
-        for combo in itertools.product(range(field.order), repeat=dim):
-            v = np.zeros(n, dtype=np.uint8)
-            for cf, row in zip(combo, rows):
-                v = field.ADD[v, field.MUL[cf, row]]
-            if np.all(v != 0):
-                return True, tuple(int(x) for x in v), True
-        return False, None, True
+        hit = None
+        for lead, vals in dist.span_values(field, rows):
+            if hit is not None and hit[0] == lead:
+                continue
+            ok = np.flatnonzero(vals.all(axis=1))
+            if ok.size:
+                hit = lead, vals[ok[0]]
+        if hit is None:
+            return False, None, True
+        return True, tuple(int(x) for x in hit[1]), True
     rng = np.random.default_rng(seed)
     for _ in range(budget):
         combo = rng.integers(0, field.order, size=dim)
@@ -496,8 +485,10 @@ def more_entanglement_step(Q: EaqeccParams, i: int, verify_cap: int = 10**6) -> 
     )
     if C.field.order ** C2.hermitian_dual().k <= verify_cap:
         fresh = hermitian_construct(C2)
-        assert (fresh.n, fresh.kappa, fresh.c) == (out.n, out.kappa, out.c)
-        assert fresh.delta.value >= Q.delta.value
+        if (fresh.n, fresh.kappa, fresh.c) != (out.n, out.kappa, out.c):
+            raise EaqeccError("more-entanglement output disagrees with a fresh construction")
+        if fresh.delta.value < Q.delta.value:
+            raise EaqeccError("more-entanglement output lost distance")
     bound_gate(out)
     return PropagationStep("more_ent", Q, out, {"i": i, "scalars": scalars, "code": C2})
 
@@ -527,7 +518,8 @@ def same_entanglement_step(
     C2 = E2.hermitian_dual()
     out = hermitian_construct(C2, enum_cap=enum_cap, work_budget=work_budget)
     out = _rechain(out, Q, f"same_ent(search={search}, seed={seed})", C2)
-    assert (out.n, out.kappa, out.c) == (Q.n + 1, Q.kappa - 1, Q.c)
+    if (out.n, out.kappa, out.c) != (Q.n + 1, Q.kappa - 1, Q.c):
+        raise EaqeccError("same-entanglement output has the wrong [[n, kappa; c]]")
     if out.delta.exact and Q.delta.exact:
         d, d2 = Q.delta.value, out.delta.value
         if d2 < d or (out.is_pure_at_delta() and d2 > d + 1):
@@ -567,9 +559,10 @@ def less_entanglement_step(
     C2 = E2.hermitian_dual()
     out = hermitian_construct(C2, enum_cap=enum_cap, work_budget=work_budget)
     out = _rechain(out, Q, f"less_ent(strategy={strategy})", C2)
-    assert (out.n, out.kappa, out.c) == (Q.n + 1, Q.kappa, Q.c - 1)
-    if out.delta.exact and Q.delta.exact:
-        assert out.delta.value <= Q.delta.value
+    if (out.n, out.kappa, out.c) != (Q.n + 1, Q.kappa, Q.c - 1):
+        raise EaqeccError("less-entanglement output has the wrong [[n, kappa; c]]")
+    if out.delta.exact and Q.delta.exact and out.delta.value > Q.delta.value:
+        raise EaqeccError("less-entanglement output gained distance")
     cert = {"word": tuple(int(v) for v in word), "code": E2,
             "enum_cap": enum_cap, "work_budget": work_budget}
     return PropagationStep("less_ent", Q, out, cert)
@@ -586,55 +579,28 @@ def _pick_extension_word(C, E, strategy, seed, budget, enum_cap):
         d0 = stacked.min_distance(enum_cap=enum_cap).value
         return min(d_e, d0 + 1)
 
-    def qualifies(w):
-        return (
-            not hull.contains_vector(w)
-            and hermitian_self_product(field, w) != 0
-        )
-
-    best = None
     if strategy == "exhaustive":
         if field.order**C.k > budget * (field.order - 1):
             raise BudgetError("exhaustive word scan exceeds budget; use strategy='sampled'")
-        for w in _scalar_class_words(field, C.G.array):
-            if not qualifies(w):
-                continue
-            sc = score(w)
-            if best is None or sc > best[0]:
-                best = (sc, w)
-                if sc == d_e:
-                    break
+        words = (w for _, ws in dist.span_values(field, C.G.array) for w in ws)
     elif strategy == "sampled":
         rng = np.random.default_rng(seed)
-        for _ in range(budget):
-            msg = rng.integers(0, field.order, size=C.k, dtype=np.uint8)
-            if not msg.any():
-                continue
-            w = gf_matmul(msg[None, :], C.G.array, field)[0]
-            if not qualifies(w):
-                continue
-            sc = score(w)
-            if best is None or sc > best[0]:
-                best = (sc, w)
-                if sc == d_e:
-                    break
+        msgs = (rng.integers(0, field.order, size=C.k, dtype=np.uint8) for _ in range(budget))
+        words = (gf_matmul(m[None, :], C.G.array, field)[0] for m in msgs if m.any())
     else:
         raise PreconditionError(f"unknown strategy {strategy!r}")
+    best = None
+    for w in words:
+        if hull.contains_vector(w) or hermitian_self_product(field, w) == 0:
+            continue
+        sc = score(w)
+        if best is None or sc > best[0]:
+            best = (sc, w.copy())
+            if sc == d_e:
+                break
     if best is None:
         raise RuleNotApplicableError("no qualifying codeword found")
     return best[1]
-
-
-def _scalar_class_words(field, rows):
-    """One representative per scalar class of the span, lexicographic messages."""
-    k = rows.shape[0]
-    for lead in range(k):
-        free = range(lead + 1, k)
-        for combo in itertools.product(range(field.order), repeat=k - lead - 1):
-            w = rows[lead].copy()
-            for cf, r in zip(combo, free):
-                w = field.ADD[w, field.MUL[cf, rows[r]]]
-            yield w
 
 
 def _rechain(out: EaqeccParams, Q: EaqeccParams, label: str, ingredient) -> EaqeccParams:
@@ -869,35 +835,55 @@ def step_from_text(text: str, field_hint=None) -> PropagationStep:
     from .errors import RecordParseError
     from .tables import CodeRecord
 
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("#v1 step rule="):
-        raise RecordParseError("missing step header", 1)
-    rule_id = lines[0].split("rule=", 1)[1]
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("#v1 step rule="):
+        raise RecordParseError("missing step header", lines[0][0] if lines else 1)
+    if len(lines) < 3:
+        raise RecordParseError("step needs an input and an output line", lines[-1][0] + 1)
+    rule_id = lines[0][1].split("rule=", 1)[1]
 
-    def parse_params(ln, no):
-        body = ln.split(None, 1)[1]
-        if body == "none":
-            return None
-        rec = CodeRecord.from_line(body, no)
-        return rec.to_params()
+    def parse_params(no, ln):
+        parts = ln.split(None, 1)
+        if len(parts) < 2:
+            raise RecordParseError(f"expected '<tag> <record>', got {ln!r}", no)
+        return None if parts[1] == "none" else CodeRecord.from_line(parts[1], no).to_params()
 
-    input_params = parse_params(lines[1], 2)
-    output_params = parse_params(lines[2], 3)
+    def ints(tokens, no, bound=None):
+        """Integers, each in [0, bound) when a bound is given."""
+        try:
+            vals = [int(t) for t in tokens]
+        except ValueError:
+            raise RecordParseError(f"non-integer entry in {' '.join(tokens)!r}", no) from None
+        bad = [v for v in vals if bound is not None and not 0 <= v < bound]
+        if bad:
+            raise RecordParseError(f"entry {bad[0]} out of range [0, {bound})", no)
+        return vals
+
+    input_params = parse_params(*lines[1])
+    output_params = parse_params(*lines[2])
     cert = {}
-    for no, ln in enumerate(lines[3:], start=4):
+    for no, ln in lines[3:]:
         parts = ln.split()
-        if parts[0] != "cert":
-            raise RecordParseError(f"expected cert line, got {ln!r}", no)
+        if parts[0] != "cert" or len(parts) < 3:
+            raise RecordParseError(f"expected 'cert <name> <kind> ...', got {ln!r}", no)
         name, kind = parts[1], parts[2]
         if kind in ("code", "matrix"):
-            q, rows, cols = int(parts[3]), int(parts[4]), int(parts[5])
-            vals = np.array([int(v) for v in parts[6:]], dtype=np.uint8).reshape(rows, cols)
-            M = MatrixFq(GF(q), vals)
-            cert[name] = LinearCode(GF(q), M) if kind == "code" else M
+            if len(parts) < 6:
+                raise RecordParseError(f"{kind} needs q, rows and cols", no)
+            q, rows, cols = ints(parts[3:6], no)
+            check_text_shape(rows, cols, no)
+            F = GF(q)
+            vals = ints(parts[6:], no, F.order)
+            if len(vals) != rows * cols:
+                raise RecordParseError(f"{kind} {rows}x{cols} cannot hold {len(vals)} entries", no)
+            M = MatrixFq(F, np.array(vals, dtype=np.uint8).reshape(rows, cols))
+            cert[name] = LinearCode(F, M) if kind == "code" else M
         elif kind == "vector":
-            cert[name] = tuple(int(v) for v in parts[3:])
+            cert[name] = tuple(ints(parts[3:], no, 256))
         elif kind == "int":
-            cert[name] = int(parts[3])
+            if len(parts) != 4:
+                raise RecordParseError("int needs exactly one value", no)
+            cert[name] = ints(parts[3:], no)[0]
         else:
             cert[name] = " ".join(parts[3:])
     return PropagationStep(rule_id, input_params, output_params, cert)

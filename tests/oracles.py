@@ -8,20 +8,30 @@ package uses, so agreement is meaningful.
 import itertools
 
 
+def brute_encode(field, message, rows):
+    """sum_i message[i] * rows[i], one symbol at a time."""
+    n = len(rows[0]) if len(rows) else 0
+    word = [0] * n
+    for cf, row in zip(message, rows):
+        if cf == 0:
+            continue
+        for j in range(n):
+            word[j] = field.add(word[j], field.mul(cf, int(row[j])))
+    return tuple(word)
+
+
 def brute_codewords(field, rows):
-    rows = [list(int(v) for v in r) for r in rows]
     k = len(rows)
-    n = len(rows[0]) if k else 0
-    out = []
-    for combo in itertools.product(range(field.order), repeat=k):
-        word = [0] * n
-        for cf, row in zip(combo, rows):
-            if cf == 0:
-                continue
-            for j in range(n):
-                word[j] = field.add(word[j], field.mul(cf, row[j]))
-        out.append(tuple(word))
-    return out
+    return [brute_encode(field, combo, rows)
+            for combo in itertools.product(range(field.order), repeat=k)]
+
+
+def scalar_class_messages(q, k):
+    """One message per nonzero scalar class: leading coefficient 1, the
+    lead position ascending, then the tail in lexicographic order."""
+    for lead in range(k):
+        for tail in itertools.product(range(q), repeat=k - lead - 1):
+            yield (0,) * lead + (1,) + tail
 
 
 def weight(word):

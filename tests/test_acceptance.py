@@ -18,6 +18,7 @@ from eaqecc.construct import css_construct, hermitian_construct, intersection
 from eaqecc.distance import information_set_bounds, span_weight_scan
 from eaqecc.fields import GF
 from eaqecc.matrix import MatrixFq, gf_matmul
+from helpers import qualifying_word
 
 F3, F9 = GF(3), GF(9)
 
@@ -244,17 +245,6 @@ def test_criterion_5d_extend_column_contract():
     print("\nACCEPTANCE 5d: PASS  column extension: d <= d' <= d+1 and hull +1 (200 cases)")
 
 
-def _qualifying_word(C):
-    dual = C.hermitian_dual()
-    hull = C.hull_code()
-    for w in prop._scalar_class_words(C.field, dual.G.array):
-        if hull.contains_vector(w):
-            continue
-        if prop.hermitian_self_product(C.field, w) != 0:
-            return w
-    return None
-
-
 def test_criterion_5e_extend_row_column_contract():
     rng = np.random.default_rng(104)
     cases = 0
@@ -264,7 +254,7 @@ def test_criterion_5e_extend_row_column_contract():
         C = random_code(F9, n, k, rng)
         if not C.hull_dim < min(C.k, C.n - C.k):
             continue
-        w = _qualifying_word(C)
+        w = qualifying_word(C)
         if w is None:
             continue
         d = C.min_distance().value

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import pathlib
 import shutil
@@ -6,12 +7,16 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eaqecc
-from eaqecc import cli
+from eaqecc import cli, tables
 from eaqecc import propagate as prop
 from eaqecc.codes import LinearCode
+from eaqecc.errors import EaqeccError, RecordParseError
 from eaqecc.fields import GF
+from eaqecc.matrix import MatrixFq
 
 F9 = GF(9)
 DATA = pathlib.Path(eaqecc.__file__).parent / "data" / "paper"
@@ -232,3 +237,65 @@ def test_cli_error_paths(tmp_path):
     code, _, stderr = run_cli("construct", "--route", "css", str(DATA / "g16_5_9.txt"))
     assert code == 2 and "second code" in stderr
     assert cli.main(["bounds", "--record", "3 6 1 5 3 pure_to:abc x"]) == 2
+    bad = tmp_path / "bad.txt"
+    bad.write_text("q=9 rows=-1 cols=3 kind=generator\n")
+    assert cli.main(["construct", str(bad)]) == 2
+    with pytest.raises(RecordParseError, match="line 1"):
+        MatrixFq.from_text("q=3 rows=2 cols=-2\n")
+    for argv in (
+        ["distance", "--budget", "-1", str(DATA / "g16_5_9.txt")],
+        ["distance", "--enum-cap", "-5", str(DATA / "g16_5_9.txt")],
+        ["min-ent", "--cap", "-1", str(DATA / "g16_5_9.txt")],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+    head = "#v1 step rule=more_ent\ninput 3 4 1 2 1 pure x\noutput 3 4 2 2 2 pure x\n"
+    for text, line in (
+        ("#v1 step rule=more_ent\n", 2),
+        (head + "cert code\n", 4),
+        (head + "cert x int abc\n", 4),
+        (head + "cert x int\n", 4),
+        (head + "cert c code 9 2 3 1 0 0 0 1\n", 4),
+        (head + "cert c matrix 9 -1 3 1 0 0\n", 4),
+        (head + "cert c code 9 1 2 1 300\n", 4),
+        (head + "cert v vector 1 2 999\n", 4),
+        ("#v1 step rule=x\ninput\noutput none\n", 2),
+        ("#v1 step rule=x\n\ninput none\n\noutput none\n\ncert x int abc\n", 7),
+    ):
+        with pytest.raises(RecordParseError, match=f"line {line}"):
+            prop.step_from_text(text)
+
+
+def test_no_assert_statements_in_package():
+    # invariant checks must survive python -O
+    pkg = pathlib.Path(eaqecc.__file__).parent
+    for path in sorted(pkg.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not found, f"{path.name}: assert at lines {found}"
+
+
+_TOKENS = st.one_of(
+    st.sampled_from([
+        "#v1", "step", "rule=more_ent", "input", "output", "none", "cert", "code",
+        "matrix", "vector", "int", "str", "q=9", "q=4", "rows=2", "cols=3", "rows=-1",
+        "kind=generator", "pure", "unknown", "pure_to:3", "pure_to:", "x", "#", "=",
+    ]),
+    st.integers(-3, 300).map(str),
+    st.text(max_size=3),
+)
+_LINES = st.lists(st.lists(_TOKENS, max_size=8).map(" ".join), max_size=6)
+_HEADS = st.sampled_from(["", "q=9 rows=1 cols=3", "q=3 rows=2 cols=2",
+                          "#v1 step rule=more_ent", "3 6 1 5 3"])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(head=_HEADS, lines=_LINES)
+def test_parsers_raise_only_eaqecc_errors(head, lines):
+    text = "\n".join([head] + lines)
+    for parse in (MatrixFq.from_text, tables.CodeRecord.from_line, prop.step_from_text):
+        try:
+            parse(text)
+        except EaqeccError:
+            pass

@@ -198,10 +198,3 @@ def test_dual_weight_outside_hull_at_scale():
     assert allf.exact and allf.value == 5
     wit = np.array(out.witness, dtype=np.uint8)
     assert dual.contains_vector(wit) and not hull.contains_vector(wit)
-
-
-def test_codewords_iterator_matches_oracle():
-    from oracles import brute_codewords
-
-    C = LinearCode(F4, [[1, 0, 2], [0, 1, 3]])
-    assert sorted(C.codewords()) == sorted(brute_codewords(F4, C.G.array))

@@ -1,17 +1,54 @@
 import numpy as np
 import pytest
 
-from eaqecc.codes import LinearCode, random_code
+from eaqecc.codes import LinearCode, random_code, relative_distance
 from eaqecc.distance import (
     DistanceFact,
     information_set_bounds,
+    span_values,
     span_weight_scan,
 )
 from eaqecc.errors import BudgetError
 from eaqecc.fields import GF
-from oracles import brute_min_distance, brute_min_outside
+from eaqecc.matrix import MatrixFq
+from oracles import (
+    brute_encode,
+    brute_min_distance,
+    brute_min_outside,
+    scalar_class_messages,
+)
 
 F2, F3, F4, F9 = GF(2), GF(3), GF(4), GF(9)
+
+
+def walk(field, rows):
+    """(lead, word) pairs of the scalar-class walk, in walk order."""
+    return [(lead, tuple(int(v) for v in w))
+            for lead, ws in span_values(field, rows) for w in ws]
+
+
+def test_span_walk_matches_oracle_order():
+    rng = np.random.default_rng(48)
+    for q in (2, 3, 4, 5, 9, 16):
+        field = GF(q)
+        for k in range(1, 5 if q < 9 else 4):
+            n = int(rng.integers(1, 7))
+            rows = rng.integers(0, q, size=(k, n), dtype=np.uint8)  # dependent rows too
+            want = [(m.index(1), brute_encode(field, m, rows))
+                    for m in scalar_class_messages(q, k)]
+            assert walk(field, rows) == want, (q, k)
+
+
+def test_span_walk_order_across_blocks():
+    # on the identity the words are the messages themselves; these sizes
+    # split the first leads into several tensor blocks
+    for q, k in ((2, 18), (3, 12), (5, 8)):
+        blocks = list(span_values(GF(q), np.eye(k, dtype=np.uint8)))
+        want = np.array(list(scalar_class_messages(q, k)), dtype=np.uint8)
+        leads = np.concatenate([np.full(len(ws), lead) for lead, ws in blocks])
+        assert len(blocks) > k
+        assert np.array_equal(np.concatenate([ws for _, ws in blocks]), want)
+        assert np.array_equal(leads, (want != 0).argmax(axis=1))
 
 
 def test_span_scan_matches_oracle():
@@ -121,3 +158,37 @@ def test_distance_fact_rendering():
     assert str(g) == ">= 4, <= 6"
     h = DistanceFact(7, "upper_bound", "witness", None)
     assert str(h) == "<= 7"
+
+
+def test_hull_relative_information_sets_close_seed7_case():
+    # case 16 of the seeded GF(9) [15,13] codes with a 1-dimensional hull:
+    # the information-set loop once left the outside distance at >= 10, <= 13
+    rng = np.random.default_rng(7)
+    cases = []
+    while len(cases) < 17:
+        G = rng.integers(0, 9, size=(13, 15), dtype=np.uint8)
+        if MatrixFq(F9, G).rank() == 13 and LinearCode(F9, G).hull_dim == 1:
+            cases.append(LinearCode(F9, G))
+    C = cases[16]
+    D, H = C.hermitian_dual(), C.hull_code()
+    out, whole = relative_distance(D, H, enum_cap=1)
+    assert out.exact and out.value == 12
+    assert whole.exact and whole.value == 10
+    wit = np.array(out.witness, dtype=np.uint8)
+    assert D.contains_vector(wit) and not H.contains_vector(wit)
+    assert int((wit != 0).sum()) == 12
+
+
+def test_hull_relative_information_sets_match_brute_force():
+    rng = np.random.default_rng(49)
+    for field in (F3, F4, F9):
+        for _ in range(10):
+            n = int(rng.integers(4, 9))
+            k = int(rng.integers(2, min(n, 3 if field is F9 else 4) + 1))
+            big = random_code(field, n, k, rng)
+            sub = LinearCode(field, big.G.array[: int(rng.integers(1, k))])
+            out, whole = relative_distance(big, sub, enum_cap=1)
+            member = lambda w: sub.contains_vector(np.array(w, dtype=np.uint8))  # noqa: E731
+            assert out.exact and out.value == brute_min_outside(field, big.G.array, member)
+            assert whole.exact and whole.value == brute_min_distance(field, big.G.array)
+            assert not member(out.witness)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,10 @@ from eaqecc.errors import (
     RuleNotApplicableError,
 )
 from eaqecc.fields import GF
+from eaqecc.matrix import MatrixFq
 from eaqecc.tables import CodeRecord
-from oracles import brute_min_distance
+from helpers import qualifying_word
+from oracles import brute_encode, brute_min_distance
 
 F3, F4, F9 = GF(3), GF(4), GF(9)
 
@@ -120,17 +124,6 @@ def test_extend_column_search_never_loses_distance():
 
 
 # -- row+column extension ------------------------------------------------------------
-
-
-def qualifying_word(C):
-    dual = C.hermitian_dual()
-    hull = C.hull_code()
-    for w in prop._scalar_class_words(C.field, dual.G.array):
-        if hull.contains_vector(w):
-            continue
-        if prop.hermitian_self_product(C.field, w) != 0:
-            return w
-    return None
 
 
 def test_extend_row_column_contract_and_distance_formula():
@@ -326,6 +319,25 @@ def test_puncture_space_self_orthogonal_contains_all_ones():
     assert LinearCode(F3, space).contains_vector(ones)
     found, vec, exhaustive = prop.find_all_nonzero_vector(space)
     assert found and exhaustive and all(v != 0 for v in vec)
+
+
+def test_find_all_nonzero_vector_is_first_hit_in_product_order():
+    rng = np.random.default_rng(69)
+    misses = 0
+    for q in (2, 3, 5):
+        field = GF(q)
+        for _ in range(25):
+            n = int(rng.integers(2, 7))
+            k = int(rng.integers(1, n + 1))
+            G = rng.integers(0, q, size=(k, n), dtype=np.uint8)
+            if rng.random() < 0.3:
+                G[:, int(rng.integers(0, n))] = 0  # no all-nonzero vector at all
+            words = (brute_encode(field, m, G) for m in itertools.product(range(q), repeat=k))
+            want = next((w for w in words if all(w)), None)
+            found, vec, exhaustive = prop.find_all_nonzero_vector(MatrixFq(field, G))
+            assert exhaustive and (found, vec) == (want is not None, want)
+            misses += want is None
+    assert misses >= 5
 
 
 def test_puncture_space_full_space_has_no_witness():

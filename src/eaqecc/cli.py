@@ -149,58 +149,32 @@ def cmd_distance(args, w):
     if args.outside:
         sub = _load_code(args.outside)
         fact = min_weight_outside(C, sub, enum_cap=args.enum_cap, work_budget=args.budget)
-    elif args.target:
-        fact = C.min_distance(enum_cap=args.enum_cap, work_budget=args.budget, target=args.target)
     else:
-        fact = C.min_distance(enum_cap=args.enum_cap, work_budget=args.budget)
+        fact = C.min_distance(enum_cap=args.enum_cap, work_budget=args.budget, target=args.target)
     _emit_fact(w, fact)
     return 0
 
 
 def cmd_propagate(args, w):
+    rule = PROPAGATE_RULES[args.rule]
+    for flag in rule.needs:
+        if getattr(args, flag.replace("-", "_")) is None:
+            raise EaqeccError(f"{args.rule} needs --{flag}")
+    args.column = _load_vector(args.column_file) if args.column_file else None
+    args.word = _load_vector(args.word_file) if args.word_file else None
     C = _load_code(args.code)
-    rule = args.rule
-    step = None
-    if rule == "hull-reduce":
-        if args.ell is None:
-            raise EaqeccError("hull-reduce needs --ell")
-        step = propagate.hull_reduce_step(C, args.ell)
-        derived = step.certificate["output"]
-        w.emit("derived", n=derived.n, k=derived.k, ell=derived.hull_dim)
-    elif rule == "extend-column":
-        if args.column_file:
-            step = propagate.extend_column_step(C, column=_load_vector(args.column_file))
-        else:
-            step = propagate.extend_column_step(C, search=args.search, seed=args.seed)
-        derived = step.certificate["output"]
-        w.emit("derived", n=derived.n, k=derived.k, ell=derived.hull_dim)
-    elif rule == "extend-row-column":
-        if not args.word_file:
-            raise EaqeccError("extend-row-column needs --word-file")
-        step = propagate.extend_row_column_step(C, _load_vector(args.word_file))
-        derived = step.certificate["output"]
-        w.emit("derived", n=derived.n, k=derived.k, ell=derived.hull_dim)
-    elif rule in ("more-ent", "same-ent", "less-ent"):
+    if rule.lifted:
         Q = hermitian_construct(C, enum_cap=args.enum_cap)
         _emit_params(w, Q, label="input")
-        if rule == "more-ent":
-            if args.i is None:
-                raise EaqeccError("more-ent needs --i")
-            step = propagate.more_entanglement_step(Q, args.i)
-        elif rule == "same-ent":
-            step = propagate.same_entanglement_step(Q, search=args.search, seed=args.seed)
-        else:
-            word = _load_vector(args.word_file) if args.word_file else None
-            step = propagate.less_entanglement_step(
-                Q, word=word, strategy=args.strategy, seed=args.seed, budget=args.budget
-            )
-        derived = step.certificate.get("code")
+        step = rule.make(Q, args)
         _emit_params(w, step.output_params, label="output")
     else:
-        raise EaqeccError(f"unknown rule {rule!r}")
-    if args.out_code and derived is not None:
-        _write(args.out_code, derived.to_text())
-    if args.out_step and step is not None:
+        step = rule.make(C, args)
+        out = step.certificate["output"]
+        w.emit("derived", n=out.n, k=out.k, ell=out.hull_dim)
+    if args.out_code:
+        _write(args.out_code, step.certificate[rule.output].to_text())
+    if args.out_step:
         _write(args.out_step, propagate.step_to_text(step))
     return 0
 
@@ -280,7 +254,6 @@ def _table_records(args):
 
 
 def cmd_table(args, w):
-    rules = frozenset(int(r) for r in args.rules.split(",")) if args.rules else tables.DEFAULT_RULES
     store = _table_records(args)
     if args.action == "ingest":
         w.emit("ingested", records=len(store))
@@ -295,14 +268,14 @@ def cmd_table(args, w):
         w.emit("summary", records=len(store), violations=len(bad))
         return 0 if not bad else 1
     if args.action == "expand":
-        exp = tables.expand(store, rules=rules, n_max=args.n_max)
+        exp = tables.expand(store, rules=args.rules, n_max=args.n_max)
         recs = exp.records(with_chains=args.chains)
         w.emit("expanded", roots=len(store), records=len(recs))
         if args.out:
             _write(args.out, "\n".join(r.to_line() for r in recs) + "\n")
         return 0
     if args.action == "compress":
-        survivors = tables.compress(store, rules=rules, n_max=args.n_max)
+        survivors = tables.compress(store, rules=args.rules, n_max=args.n_max)
         w.emit("compressed", records_in=len(store), records_out=len(survivors))
         if args.out:
             _write(args.out, "\n".join(r.to_line() for r in survivors) + "\n")
@@ -310,7 +283,7 @@ def cmd_table(args, w):
     if args.action == "query":
         hits = tables.query(
             store, q=args.q, n=args.n, kappa=args.kappa, c=args.c,
-            rules=rules, n_max=args.n_max,
+            rules=args.rules, n_max=args.n_max,
         )
         for rec in hits:
             w.emit(
@@ -330,12 +303,28 @@ def cmd_verify_paper(args, w):
 # -- parser -------------------------------------------------------------------
 
 
-def non_negative_int(text: str) -> int:
-    """argparse type of budgets and caps: a non-negative integer."""
+PROPAGATE_RULES = {rule.name: rule for rule in propagate.RULES.values()}
+
+
+def non_negative_int(text: str, low: int = 0) -> int:
+    """argparse type of budgets, caps and counts: an integer of at least `low`."""
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
     return value
+
+
+def positive_int(text: str) -> int:
+    """argparse type of lengths, field sizes and shifts."""
+    return non_negative_int(text, 1)
+
+
+def rule_ids(text: str) -> frozenset:
+    """argparse type of --rules: comma-separated simple-rule ids."""
+    ids = frozenset(int(t) for t in text.split(","))
+    if not ids <= tables.ALL_RULES:
+        raise argparse.ArgumentTypeError(f"rule ids must lie in 1..8, got {text}")
+    return ids
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -354,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--route", choices=("hermitian", "css"), default="hermitian")
     sp.add_argument("code")
     sp.add_argument("code2", nargs="?")
-    sp.add_argument("--known-distance", type=int)
+    sp.add_argument("--known-distance", type=positive_int)
     sp.add_argument("--known-pure", action="store_true")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_construct)
@@ -373,16 +362,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("distance", parents=[common], help="minimum distance facts")
     sp.add_argument("code")
     sp.add_argument("--outside", help="subcode file: weight outside this subcode")
-    sp.add_argument("--target", type=int, help="stop once this lower bound is certified")
+    sp.add_argument("--target", type=positive_int, help="stop once this lower bound is certified")
     sp.set_defaults(func=cmd_distance)
 
     sp = sub.add_parser("propagate", parents=[common], help="apply a propagation rule")
-    sp.add_argument("--rule", required=True, choices=(
-        "hull-reduce", "extend-column", "extend-row-column",
-        "more-ent", "same-ent", "less-ent"))
+    sp.add_argument("--rule", required=True, choices=PROPAGATE_RULES)
     sp.add_argument("code")
-    sp.add_argument("--ell", type=int)
-    sp.add_argument("--i", type=int)
+    sp.add_argument("--ell", type=non_negative_int)
+    sp.add_argument("--i", type=positive_int)
     sp.add_argument("--column-file")
     sp.add_argument("--word-file")
     sp.add_argument("--search", action="store_true")
@@ -419,13 +406,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("action", choices=("ingest", "expand", "compress", "query", "check"))
     sp.add_argument("--bundled", choices=("qubit", "qutrit"))
     sp.add_argument("--file", action="append")
-    sp.add_argument("--rules", help="comma-separated rule ids, default 1,2,3,4,5,7")
-    sp.add_argument("--n-max", type=int)
+    sp.add_argument("--rules", type=rule_ids, default=tables.DEFAULT_RULES,
+                    help="comma-separated rule ids in 1..8, default 1,2,3,4,5,7")
+    sp.add_argument("--n-max", type=positive_int)
     sp.add_argument("--chains", action="store_true", help="tag derived records with rule chains")
-    sp.add_argument("--q", type=int)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--kappa", type=int)
-    sp.add_argument("--c", type=int)
+    sp.add_argument("--q", type=positive_int)
+    sp.add_argument("--n", type=positive_int)
+    sp.add_argument("--kappa", type=non_negative_int)
+    sp.add_argument("--c", type=non_negative_int)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_table)
 
@@ -442,10 +430,7 @@ def main(argv=None) -> int:
     w = Writer(args.format)
     try:
         return args.func(args, w)
-    except EaqeccError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (EaqeccError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -124,9 +124,6 @@ class LinearCode:
     # -- transformations ----------------------------------------------------------
 
     def scale_columns(self, scalars) -> "LinearCode":
-        scalars = list(scalars)
-        if len(scalars) != self.n:
-            raise PreconditionError("need one scalar per column")
         if any(a == 0 for a in scalars):
             raise PreconditionError("column scalars must be nonzero")
         return LinearCode(self.field, self.G.scale_cols(scalars))

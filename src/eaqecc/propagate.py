@@ -13,6 +13,7 @@ Every quantum step carries a replayable certificate.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 
@@ -34,6 +35,8 @@ from .matrix import MatrixFq, check_text_shape, gf_matmul, hermitian_congruence_
 
 DEFAULT_SEARCH_BUDGET = 10**4
 DEFAULT_SPACE_CAP = 2**20
+# more_ent re-derives its output by a fresh construction while q^(n-k) stays below this
+MORE_ENT_VERIFY_CAP = 10**6
 
 
 # --------------------------------------------------------------------------
@@ -125,31 +128,24 @@ def extend_column(
 
 def _extend_column_with_cert(C, column, position, alpha, rng):
     """(extended code, appended column expressed in the original basis)."""
-    if column is not None:
-        col = np.asarray(column, dtype=np.uint8)
-        return extend_with_column(C, col), col
-    field = C.field
-    ell = _check_extend_precondition(C)
-    s = C.k - ell
-    gram = C.gram_hermitian()
-    D, rank = hermitian_congruence_diagonalize(gram, rng=rng)
-    if rank != s:
-        raise EaqeccError(f"Gram matrix has rank {rank}, expected k - hull dim = {s}")
-    if not 0 <= position < s:
-        raise PreconditionError(f"column position must lie in [0, {s})")
-    if alpha is None:
-        alpha = field.solve_norm(field.neg(1))
-    elif field.norm(alpha) != field.neg(1):
-        raise PreconditionError("alpha must have norm -1")
-    DG = gf_matmul(D.array, C.G.array, field)
-    col = np.zeros((C.k, 1), dtype=np.uint8)
-    col[position, 0] = alpha
-    out = LinearCode(field, np.hstack([DG, col]))
-    if out.hull_dim != ell + 1 or out.k != C.k:
-        raise EaqeccError("column extension did not raise the hull dimension by one")
-    # same code in the original basis: G' = [G | D^{-1} col]
-    col_orig = gf_matmul(D.inverse().array, col, field)[:, 0]
-    return out, col_orig
+    if column is None:
+        field = C.field
+        s = C.k - _check_extend_precondition(C)
+        D, rank = hermitian_congruence_diagonalize(C.gram_hermitian(), rng=rng)
+        if rank != s:
+            raise EaqeccError(f"Gram matrix has rank {rank}, expected k - hull dim = {s}")
+        if not 0 <= position < s:
+            raise PreconditionError(f"column position must lie in [0, {s})")
+        if alpha is None:
+            alpha = field.solve_norm(field.neg(1))
+        elif field.norm(alpha) != field.neg(1):
+            raise PreconditionError("alpha must have norm -1")
+        col = np.zeros((C.k, 1), dtype=np.uint8)
+        col[position, 0] = alpha
+        # [D G | col] and [G | D^{-1} col] span the same code
+        column = gf_matmul(D.inverse().array, col, field)[:, 0]
+    column = np.asarray(column, dtype=np.uint8)
+    return extend_with_column(C, column), column
 
 
 def extend_column_search(
@@ -291,30 +287,24 @@ def min_entanglement_search(
         total = len(nonzero) ** C.n
         if total > cap:
             raise BudgetError(f"(q-1)^n = {total} exceeds cap {cap}; use randomized mode")
-        best = None
-        for diag in itertools.product(nonzero, repeat=C.n):
-            r = _rank_with_diagonal(C, diag)
-            if best is None or r < best[0]:
-                best = (r, diag)
-                if r == 0:
-                    break
-        return MinEntanglementResult(best[0], best[1], True)
-    if mode != "randomized":
+        trials = itertools.product(nonzero, repeat=C.n)
+    elif mode == "randomized":
+        rng = np.random.default_rng(seed)
+        # the all-ones diagonal is the do-nothing baseline; always include it so
+        # a sampled bound never exceeds rank(G G^dagger)
+        trials = [tuple([1] * C.n)]
+        trials += [tuple(int(nonzero[i]) for i in rng.integers(0, len(nonzero), size=C.n))
+                   for _ in range(budget)]
+    else:
         raise PreconditionError(f"unknown mode {mode!r}")
-    rng = np.random.default_rng(seed)
-    # the all-ones diagonal is the do-nothing baseline; always include it so a
-    # sampled bound never exceeds rank(G G^dagger)
-    trials = [tuple([1] * C.n)]
-    trials += [tuple(int(nonzero[i]) for i in rng.integers(0, len(nonzero), size=C.n))
-               for _ in range(budget)]
     best = None
     for diag in trials:
         r = _rank_with_diagonal(C, diag)
-        if best is None or r < best[0] or (r == best[0] and diag < best[1]):
+        if best is None or (r, diag) < best:  # product order ascends, samples may not
             best = (r, diag)
             if r == 0:
                 break
-    return MinEntanglementResult(best[0], best[1], False)
+    return MinEntanglementResult(best[0], best[1], mode == "exhaustive")
 
 
 def puncture_space(C: LinearCode) -> MatrixFq:
@@ -361,12 +351,11 @@ def find_all_nonzero_vector(
     with a hit in the scalar-class walk, which checks whole blocks.
     """
     field = space.field
-    dim, n = space.rows, space.cols
+    dim = space.rows
     if dim == 0:
         return False, None, True
-    total = field.order**dim
     rows = space.array
-    if total <= cap:
+    if field.order**dim <= cap:
         hit = None
         for lead, vals in dist.span_values(field, rows):
             if hit is not None and hit[0] == lead:
@@ -379,10 +368,7 @@ def find_all_nonzero_vector(
         return True, tuple(int(x) for x in hit[1]), True
     rng = np.random.default_rng(seed)
     for _ in range(budget):
-        combo = rng.integers(0, field.order, size=dim)
-        v = np.zeros(n, dtype=np.uint8)
-        for cf, row in zip(combo, rows):
-            v = field.ADD[v, field.MUL[int(cf), row]]
+        v = gf_matmul(rng.integers(0, field.order, size=(1, dim)), rows, field)[0]
         if np.all(v != 0):
             return True, tuple(int(x) for x in v), False
     return False, None, False
@@ -405,9 +391,8 @@ class PropagationStep:
 
 def hull_reduce_step(C: LinearCode, ell_target: int) -> PropagationStep:
     scalars, out = hull_reduce_scalars(C, ell_target)
-    return PropagationStep(
-        "hull_reduce", None, None, {"input": C, "scalars": scalars, "output": out}
-    )
+    cert = {"input": C, "scalars": scalars, "output": out}
+    return PropagationStep("hull_reduce", None, None, cert)
 
 
 def extend_column_step(
@@ -419,7 +404,8 @@ def extend_column_step(
     search: bool = False,
     seed: int = 0,
 ) -> PropagationStep:
-    if search:
+    """An explicit column wins over `search`; neither gives the default extension."""
+    if search and column is None:
         out, col = _extend_column_search_with_cert(C, seed, 8, 10**6, 10**5)
     else:
         out, col = _extend_column_with_cert(C, column, position, alpha, rng)
@@ -458,7 +444,35 @@ def _require_pure(Q: EaqeccParams):
         raise PreconditionError("this rule needs a pure input code")
 
 
-def more_entanglement_step(Q: EaqeccParams, i: int, verify_cap: int = 10**6) -> PropagationStep:
+def _lift(rule_id: str, Q: EaqeccParams, code: LinearCode, cert: dict, label=None):
+    """Quantum output of an entanglement rule from the code its transform made.
+
+    Column scaling (more_ent) keeps the distance and trades i hull
+    dimensions for i ebits, i read off the scaled code's hull.  The
+    dual-side extensions (same_ent, less_ent) are rebuilt by the Hermitian
+    construction on the extended code's Hermitian dual; the transforms'
+    own hull checks fix its [[n, kappa; c]], the rule bounds its delta.
+    """
+    rule = RULES[rule_id]
+    provenance = Q.provenance + (label or rule_id,)
+    if not rule.on_dual:
+        i = code.k - code.hull_dim - Q.c
+        out = dataclasses.replace(
+            Q, kappa=Q.kappa + i, c=Q.c + i, purity=f"pure_to:{Q.delta.value}",
+            provenance=provenance, route="hermitian", ingredient=code,
+        )
+        bound_gate(out)
+        return out
+    enum_cap, work_budget = (_cert_value(cert, k, _INT) for k in ("enum_cap", "work_budget"))
+    out = hermitian_construct(code.hermitian_dual(), enum_cap=enum_cap, work_budget=work_budget)
+    out = dataclasses.replace(out, provenance=provenance)
+    d, d2 = Q.delta.value, out.delta.value
+    if out.delta.exact and Q.delta.exact and not rule.distance_ok(d, d2, out.is_pure_at_delta()):
+        raise EaqeccError(f"{rule_id} output distance {d2} out of range for {d}")
+    return out
+
+
+def more_entanglement_step(Q: EaqeccParams, i: int) -> PropagationStep:
     """[[n, kappa+i, delta; c+i]], pure to distance delta, for 1 <= i <= hull dim.
 
     Trades hull dimensions of the ingredient for extra ebits via column
@@ -472,25 +486,12 @@ def more_entanglement_step(Q: EaqeccParams, i: int, verify_cap: int = 10**6) -> 
     if not 1 <= i <= ell:
         raise PreconditionError(f"shift i={i} not in [1, {ell}]")
     scalars, C2 = hull_reduce_scalars(C, ell - i)
-    out = EaqeccParams(
-        q=Q.q,
-        n=Q.n,
-        kappa=Q.kappa + i,
-        delta=Q.delta,
-        c=Q.c + i,
-        purity=f"pure_to:{Q.delta.value}",
-        provenance=Q.provenance + (f"more_ent(i={i})",),
-        route="hermitian",
-        ingredient=C2,
-    )
-    if C.field.order ** C2.hermitian_dual().k <= verify_cap:
-        fresh = hermitian_construct(C2)
-        if (fresh.n, fresh.kappa, fresh.c) != (out.n, out.kappa, out.c):
-            raise EaqeccError("more-entanglement output disagrees with a fresh construction")
-        if fresh.delta.value < Q.delta.value:
-            raise EaqeccError("more-entanglement output lost distance")
-    bound_gate(out)
-    return PropagationStep("more_ent", Q, out, {"i": i, "scalars": scalars, "code": C2})
+    cert = {"input": C, "i": i, "scalars": scalars, "code": C2}
+    out = _lift("more_ent", Q, C2, cert, f"more_ent(i={i})")
+    small = C.field.order ** C2.hermitian_dual().k <= MORE_ENT_VERIFY_CAP
+    if small and hermitian_construct(C2).delta.value < Q.delta.value:
+        raise EaqeccError("more-entanglement output lost distance")
+    return PropagationStep("more_ent", Q, out, cert)
 
 
 def same_entanglement_step(
@@ -514,18 +515,10 @@ def same_entanglement_step(
     E = C.hermitian_dual()
     if not E.hull_dim < min(E.k, E.n - E.k):
         raise RuleNotApplicableError("dual code sits at the hull boundary; extension undefined")
-    E2 = extend_column_search(E, seed=seed) if search else extend_column(E)
-    C2 = E2.hermitian_dual()
-    out = hermitian_construct(C2, enum_cap=enum_cap, work_budget=work_budget)
-    out = _rechain(out, Q, f"same_ent(search={search}, seed={seed})", C2)
-    if (out.n, out.kappa, out.c) != (Q.n + 1, Q.kappa - 1, Q.c):
-        raise EaqeccError("same-entanglement output has the wrong [[n, kappa; c]]")
-    if out.delta.exact and Q.delta.exact:
-        d, d2 = Q.delta.value, out.delta.value
-        if d2 < d or (out.is_pure_at_delta() and d2 > d + 1):
-            raise EaqeccError(f"same-entanglement output distance {d2} out of range for {d}")
-    cert = {"code": E2, "search": int(search), "seed": seed,
-            "enum_cap": enum_cap, "work_budget": work_budget}
+    ext = extend_column_step(E, search=search, seed=seed).certificate
+    cert = {"input": E, "column": ext["column"], "code": ext["output"], "search": int(search),
+            "seed": seed, "enum_cap": enum_cap, "work_budget": work_budget}
+    out = _lift("same_ent", Q, ext["output"], cert, f"same_ent(search={search}, seed={seed})")
     return PropagationStep("same_ent", Q, out, cert)
 
 
@@ -554,17 +547,10 @@ def less_entanglement_step(
         raise RuleNotApplicableError("dual code sits at the hull boundary; extension undefined")
     if word is None:
         word = _pick_extension_word(C, E, strategy, seed, budget, enum_cap)
-    word = np.asarray(word, dtype=np.uint8)
     E2 = extend_row_column(E, word)
-    C2 = E2.hermitian_dual()
-    out = hermitian_construct(C2, enum_cap=enum_cap, work_budget=work_budget)
-    out = _rechain(out, Q, f"less_ent(strategy={strategy})", C2)
-    if (out.n, out.kappa, out.c) != (Q.n + 1, Q.kappa, Q.c - 1):
-        raise EaqeccError("less-entanglement output has the wrong [[n, kappa; c]]")
-    if out.delta.exact and Q.delta.exact and out.delta.value > Q.delta.value:
-        raise EaqeccError("less-entanglement output gained distance")
-    cert = {"word": tuple(int(v) for v in word), "code": E2,
+    cert = {"input": E, "word": tuple(int(v) for v in word), "code": E2,
             "enum_cap": enum_cap, "work_budget": work_budget}
+    out = _lift("less_ent", Q, E2, cert, f"less_ent(strategy={strategy})")
     return PropagationStep("less_ent", Q, out, cert)
 
 
@@ -573,12 +559,6 @@ def _pick_extension_word(C, E, strategy, seed, budget, enum_cap):
     field = C.field
     hull = C.hull_code()
     d_e = E.min_distance(enum_cap=enum_cap).value
-
-    def score(w):
-        stacked = LinearCode(field, np.vstack([E.G.array, w[None, :]]))
-        d0 = stacked.min_distance(enum_cap=enum_cap).value
-        return min(d_e, d0 + 1)
-
     if strategy == "exhaustive":
         if field.order**C.k > budget * (field.order - 1):
             raise BudgetError("exhaustive word scan exceeds budget; use strategy='sampled'")
@@ -593,7 +573,8 @@ def _pick_extension_word(C, E, strategy, seed, budget, enum_cap):
     for w in words:
         if hull.contains_vector(w) or hermitian_self_product(field, w) == 0:
             continue
-        sc = score(w)
+        stacked = LinearCode(field, np.vstack([E.G.array, w[None, :]]))
+        sc = min(d_e, stacked.min_distance(enum_cap=enum_cap).value + 1)
         if best is None or sc > best[0]:
             best = (sc, w.copy())
             if sc == d_e:
@@ -601,20 +582,6 @@ def _pick_extension_word(C, E, strategy, seed, budget, enum_cap):
     if best is None:
         raise RuleNotApplicableError("no qualifying codeword found")
     return best[1]
-
-
-def _rechain(out: EaqeccParams, Q: EaqeccParams, label: str, ingredient) -> EaqeccParams:
-    return EaqeccParams(
-        q=out.q,
-        n=out.n,
-        kappa=out.kappa,
-        delta=out.delta,
-        c=out.c,
-        purity=out.purity,
-        provenance=Q.provenance + (label,),
-        route=out.route,
-        ingredient=ingredient if isinstance(ingredient, LinearCode) else out.ingredient,
-    )
 
 
 def more_entanglement(Q: EaqeccParams, i: int, **kw) -> EaqeccParams:
@@ -627,6 +594,69 @@ def same_entanglement(Q: EaqeccParams, **kw) -> EaqeccParams:
 
 def less_entanglement(Q: EaqeccParams, **kw) -> EaqeccParams:
     return less_entanglement_step(Q, **kw).output_params
+
+
+# --------------------------------------------------------------------------
+# the rule table
+# --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Rule:
+    """A code-backed propagation rule: how it is made and how it replays.
+
+    `transform(code, datum)` takes the certificate's `input` code and its
+    `datum` field to its output code.  Entanglement rules (`lifted`) lift
+    that code through `_lift`; `on_dual` ones act on the Hermitian dual
+    of the ingredient, which is then their `input`.
+    """
+
+    name: str  # the propagate command's --rule value
+    make: object  # (code, or params when lifted; command options) -> PropagationStep
+    needs: tuple  # command options `make` cannot do without
+    transform: object
+    datum: str
+    lifted: bool = False
+    on_dual: bool = False
+    distance_ok: object = None  # (delta, delta', output pure) -> bool for an on_dual rule
+
+    @property
+    def output(self) -> str:  # certificate key of the transformed code
+        return "code" if self.lifted else "output"
+
+
+RULES = {
+    "hull_reduce": Rule(
+        "hull-reduce", lambda C, o: hull_reduce_step(C, o.ell), ("ell",),
+        LinearCode.scale_columns, "scalars",
+    ),
+    "extend_column": Rule(
+        "extend-column",
+        lambda C, o: extend_column_step(C, column=o.column, search=o.search, seed=o.seed), (),
+        extend_with_column, "column",
+    ),
+    "extend_row_column": Rule(
+        "extend-row-column", lambda C, o: extend_row_column_step(C, o.word), ("word-file",),
+        extend_row_column, "word",
+    ),
+    "more_ent": Rule(
+        "more-ent", lambda Q, o: more_entanglement_step(Q, o.i), ("i",),
+        LinearCode.scale_columns, "scalars", lifted=True,
+    ),
+    "same_ent": Rule(
+        "same-ent", lambda Q, o: same_entanglement_step(Q, search=o.search, seed=o.seed), (),
+        extend_with_column, "column", lifted=True, on_dual=True,
+        distance_ok=lambda d, d2, pure: d <= d2 and (d2 <= d + 1 or not pure),
+    ),
+    "less_ent": Rule(
+        "less-ent",
+        lambda Q, o: less_entanglement_step(
+            Q, word=o.word, strategy=o.strategy, seed=o.seed, budget=o.budget
+        ),
+        (), extend_row_column, "word", lifted=True, on_dual=True,
+        distance_ok=lambda d, d2, pure: d2 <= d,
+    ),
+}
 
 
 # --------------------------------------------------------------------------
@@ -644,7 +674,8 @@ SIMPLE_RULE_NAMES = {
     8: "shortening a pure code",
 }
 
-RULES_NEEDING_PURITY = frozenset({6, 8})
+# rules whose output is pure to its distance; every other output's purity is unknown
+PURE_OUTPUT_RULES = frozenset({6})
 
 
 def simple_rule_applicable(rule, q, n, kappa, delta, c, pure):
@@ -698,10 +729,6 @@ def simple_rule_transform(rule, n, kappa, delta, c):
     raise PreconditionError(f"unknown rule {rule}")
 
 
-def simple_rule_output_purity(rule, delta):
-    return f"pure_to:{delta}" if rule == 6 else "unknown"
-
-
 def apply_simple_rule(Q: EaqeccParams, rule: int) -> EaqeccParams:
     """The printed single-step transform, with its side conditions enforced."""
     ok, reason = simple_rule_applicable(
@@ -716,7 +743,7 @@ def apply_simple_rule(Q: EaqeccParams, rule: int) -> EaqeccParams:
         kappa=k2,
         delta=DistanceFact(d2, "exact", "propagation"),
         c=c2,
-        purity=simple_rule_output_purity(rule, d2),
+        purity=f"pure_to:{d2}" if rule in PURE_OUTPUT_RULES else "unknown",
         provenance=Q.provenance + (f"rule{rule}",),
     )
     bound_gate(out)
@@ -736,67 +763,66 @@ def apply_simple_rule_step(Q: EaqeccParams, rule: int) -> PropagationStep:
 def replay_step(step: PropagationStep):
     """Re-derive the output from the certificate; raises on any mismatch.
 
-    Quantum steps return the recomputed EaqeccParams, classical steps
-    the recomputed LinearCode.
+    A table rule checks that its input code gives the recorded input's
+    [[n, kappa; c]] (entanglement rules only), re-applies its transform
+    to that code and datum, compares the result with the recorded code
+    and, for an entanglement rule, lifts it and compares the parameters.
+    Quantum steps return the recomputed EaqeccParams, classical steps the
+    recomputed LinearCode, min_ent_search steps the search result.
     """
-    rid = step.rule_id
-    if rid in ("hull_reduce", "extend_column", "extend_row_column"):
-        cert = step.certificate
-        C = cert["input"]
-        if rid == "hull_reduce":
-            got = C.scale_columns(cert["scalars"])
-        elif rid == "extend_column":
-            got = extend_with_column(C, np.asarray(cert["column"], dtype=np.uint8))
-        else:
-            got = extend_row_column(C, np.asarray(cert["word"], dtype=np.uint8))
-        if got != cert["output"]:
-            raise EaqeccError(f"replay mismatch for {rid}: derived code differs")
-        return got
+    rid, cert = step.rule_id, step.certificate
     if rid == "min_ent_search":
-        cert = step.certificate
-        res = min_entanglement_search(
-            cert["input"], mode=cert["mode"], seed=cert["seed"],
-            budget=cert["budget"], cap=cert["cap"],
-        )
-        if (res.c_min, res.diagonal) != (cert["c_min"], tuple(cert["diagonal"])):
+        kw = {k: _cert_value(cert, k, kind)
+              for k, kind in (("mode", str), ("seed", _INT), ("budget", _INT), ("cap", _INT))}
+        res = min_entanglement_search(_cert_value(cert, "input", LinearCode), **kw)
+        want = (_cert_value(cert, "c_min", _INT), _cert_value(cert, "diagonal", tuple))
+        if (res.c_min, res.diagonal) != want:
             raise EaqeccError("replay mismatch for min_ent_search")
         return res
     if rid.startswith("simple_"):
-        out = apply_simple_rule(step.input_params, step.certificate["rule"])
-    elif rid == "more_ent":
-        C2 = step.certificate["code"]
-        Q = step.input_params
-        i = step.certificate["i"]
-        # ingredient shape recoverable from the recorded parameters alone
-        k_in = (Q.n - Q.kappa + Q.c) // 2
-        ell_in = k_in - Q.c
-        if (C2.n, C2.k) != (Q.n, k_in) or C2.hull_dim != ell_in - i:
-            raise EaqeccError("certificate code does not match the recorded step")
-        out = EaqeccParams(
-            q=Q.q,
-            n=Q.n,
-            kappa=Q.kappa + i,
-            delta=Q.delta,
-            c=Q.c + i,
-            purity=f"pure_to:{Q.delta.value}",
-            provenance=Q.provenance + (f"more_ent(i={i})",),
-            route="hermitian",
-            ingredient=C2,
-        )
-    elif rid in ("same_ent", "less_ent"):
-        E2 = step.certificate["code"]
-        out = hermitian_construct(
-            E2.hermitian_dual(),
-            enum_cap=step.certificate.get("enum_cap", dist.DEFAULT_ENUM_CAP),
-            work_budget=step.certificate.get("work_budget", CONSTRUCT_WORK_BUDGET),
-        )
-        out = _rechain(out, step.input_params, rid, E2.hermitian_dual())
-    else:
+        out = apply_simple_rule(_recorded_input(step), _cert_value(cert, "rule", _INT))
+        return _check_output(step, out)
+    rule = RULES.get(rid)
+    if rule is None:
         raise PreconditionError(f"cannot replay rule {rid}")
-    got = _step_values(out)
-    want = _step_values(step.output_params)
+    code = _cert_value(cert, "input", LinearCode)
+    if rule.lifted:
+        Q = _recorded_input(step)
+        k = code.n - code.k if rule.on_dual else code.k
+        c = k - code.hull_dim
+        if (code.field.subfield_order, code.n, code.n - 2 * k + c, c) != (Q.q, Q.n, Q.kappa, Q.c):
+            raise EaqeccError(f"replay mismatch for {rid}: the input code does not give {Q}")
+    datum, q = _cert_value(cert, rule.datum, tuple), code.field.order
+    if not all(0 <= v < q for v in datum):
+        raise EaqeccError(f"{rid} certificate {rule.datum} has entries outside GF({q})")
+    got, recorded = rule.transform(code, datum), _cert_value(cert, rule.output, LinearCode)
+    if got != recorded:
+        raise EaqeccError(f"replay mismatch for {rid}: derived code differs")
+    # the recorded code equals got and may carry cached distances
+    return _check_output(step, _lift(rid, Q, recorded, cert)) if rule.lifted else got
+
+
+_INT = (int, np.integer)
+
+
+def _cert_value(cert: dict, name: str, kind):
+    """Certificate field `name`, which must be present and of type `kind`."""
+    value = cert.get(name)
+    if not isinstance(value, kind):
+        raise EaqeccError(f"certificate lacks a valid {name!r} field")
+    return value
+
+
+def _recorded_input(step: PropagationStep) -> EaqeccParams:
+    if step.input_params is None:
+        raise EaqeccError(f"{step.rule_id} step records no input parameters")
+    return step.input_params
+
+
+def _check_output(step: PropagationStep, out: EaqeccParams) -> EaqeccParams:
+    got, want = _step_values(out), step.output_params and _step_values(step.output_params)
     if got != want:
-        raise EaqeccError(f"replay mismatch: recomputed {got}, recorded {want}")
+        raise EaqeccError(f"replay mismatch for {step.rule_id}: recomputed {got}, recorded {want}")
     return out
 
 
@@ -807,31 +833,22 @@ def _step_values(p: EaqeccParams):
 def step_to_text(step: PropagationStep) -> str:
     lines = [f"#v1 step rule={step.rule_id}"]
     for tag, params in (("input", step.input_params), ("output", step.output_params)):
-        if params is None:
-            lines.append(f"{tag} none")
-        else:
-            lines.append(f"{tag} {params.record_line()}")
+        lines.append(f"{tag} {'none' if params is None else params.record_line()}")
     for name, val in sorted(step.certificate.items()):
-        if isinstance(val, LinearCode):
-            flat = " ".join(str(int(v)) for v in val.G.array.ravel())
-            lines.append(
-                f"cert {name} code {val.field.order} {val.k} {val.n} {flat}".rstrip()
-            )
-        elif isinstance(val, MatrixFq):
-            flat = " ".join(str(int(v)) for v in val.array.ravel())
-            lines.append(
-                f"cert {name} matrix {val.field.order} {val.rows} {val.cols} {flat}".rstrip()
-            )
+        if isinstance(val, (LinearCode, MatrixFq)):
+            kind, M = ("code", val.G) if isinstance(val, LinearCode) else ("matrix", val)
+            flat = " ".join(str(int(v)) for v in M.array.ravel())
+            lines.append(f"cert {name} {kind} {M.field.order} {M.rows} {M.cols} {flat}".rstrip())
         elif isinstance(val, tuple):
             lines.append(f"cert {name} vector " + " ".join(str(int(v)) for v in val))
-        elif isinstance(val, (int, np.integer)):
+        elif isinstance(val, _INT):
             lines.append(f"cert {name} int {int(val)}")
         else:
             lines.append(f"cert {name} str {val}")
     return "\n".join(lines) + "\n"
 
 
-def step_from_text(text: str, field_hint=None) -> PropagationStep:
+def step_from_text(text: str) -> PropagationStep:
     from .errors import RecordParseError
     from .tables import CodeRecord
 
@@ -884,6 +901,8 @@ def step_from_text(text: str, field_hint=None) -> PropagationStep:
             if len(parts) != 4:
                 raise RecordParseError("int needs exactly one value", no)
             cert[name] = ints(parts[3:], no)[0]
-        else:
+        elif kind == "str":
             cert[name] = " ".join(parts[3:])
+        else:
+            raise RecordParseError(f"unknown cert kind {kind!r}", no)
     return PropagationStep(rule_id, input_params, output_params, cert)

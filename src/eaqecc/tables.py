@@ -142,6 +142,7 @@ def _walk(roots, rules, n_max):
     """
     applicable = propagate.simple_rule_applicable
     transform = propagate.simple_rule_transform
+    pure_out = propagate.PURE_OUTPUT_RULES
     rules = sorted(rules)
     cells, stepped, parent = {}, {}, {}
     buckets = [[] for _ in range(max((r.delta for r in roots), default=0) + 1)]
@@ -169,7 +170,7 @@ def _walk(roots, rules, n_max):
                 n2, k2, d2, c2 = transform(rule, n, kappa, delta, c)
                 if not 1 <= n2 <= n_max:
                     continue
-                cell2 = (q, n2, k2, c2, int(rule == 6))
+                cell2 = (q, n2, k2, c2, int(rule in pure_out))
                 if stepped.get(cell2, -1) < d2:
                     stepped[cell2] = d2
                 offer(cell2, d2, idx, (cell, rule))

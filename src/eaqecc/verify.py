@@ -20,23 +20,17 @@ from .fields import GF
 from .matrix import MatrixFq
 
 
-class CheckFailure(Exception):
-    pass
-
-
 class Verifier:
     def __init__(self, emit):
         self.emit = emit
         self.failures = 0
 
     def check(self, name, got, want):
-        ok = got == want
-        if ok:
+        if got == want:
             self.emit("ok", name=name, value=_fmt(got))
         else:
             self.failures += 1
             self.emit("FAIL", name=name, expected=_fmt(want), got=_fmt(got))
-        return ok
 
 
 def _fmt(v):

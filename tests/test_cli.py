@@ -242,10 +242,25 @@ def test_cli_error_paths(tmp_path):
     assert cli.main(["construct", str(bad)]) == 2
     with pytest.raises(RecordParseError, match="line 1"):
         MatrixFq.from_text("q=3 rows=2 cols=-2\n")
+    g16 = str(DATA / "g16_5_9.txt")
     for argv in (
-        ["distance", "--budget", "-1", str(DATA / "g16_5_9.txt")],
-        ["distance", "--enum-cap", "-5", str(DATA / "g16_5_9.txt")],
-        ["min-ent", "--cap", "-1", str(DATA / "g16_5_9.txt")],
+        ["distance", "--budget", "-1", g16],
+        ["distance", "--enum-cap", "-5", g16],
+        ["min-ent", "--cap", "-1", g16],
+        ["table", "query", "--bundled", "qubit", "--n", "-5"],
+        ["table", "expand", "--bundled", "qubit", "--n-max", "-1"],
+        ["table", "expand", "--bundled", "qubit", "--n-max", "0"],
+        ["table", "query", "--bundled", "qubit", "--q", "0"],
+        ["table", "query", "--bundled", "qubit", "--kappa", "-1"],
+        ["table", "query", "--bundled", "qubit", "--c", "-1"],
+        ["table", "expand", "--bundled", "qubit", "--rules", "abc"],
+        ["table", "expand", "--bundled", "qubit", "--rules", "9"],
+        ["table", "expand", "--bundled", "qubit", "--rules", "1,0"],
+        ["table", "expand", "--bundled", "qubit", "--rules", ""],
+        ["construct", "--known-distance", "-1", g16],
+        ["distance", "--target", "-1", g16],
+        ["propagate", "--rule", "hull-reduce", "--ell", "-1", g16],
+        ["propagate", "--rule", "more-ent", "--i", "0", g16],
     ):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
@@ -262,9 +277,24 @@ def test_cli_error_paths(tmp_path):
         (head + "cert v vector 1 2 999\n", 4),
         ("#v1 step rule=x\ninput\noutput none\n", 2),
         ("#v1 step rule=x\n\ninput none\n\noutput none\n\ncert x int abc\n", 7),
+        (head + "cert x blob 1 2\n", 4),
     ):
         with pytest.raises(RecordParseError, match=f"line {line}"):
             prop.step_from_text(text)
+
+
+def test_propagate_rule_choices_are_the_rule_table():
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    rule = next(a for a in sub.choices["propagate"]._actions if a.dest == "rule")
+    assert list(rule.choices) == [r.name for r in prop.RULES.values()]
+
+
+def test_propagate_missing_rule_option_exits_2():
+    g16 = str(DATA / "g16_5_9.txt")
+    for rule, flag in (("hull-reduce", "--ell"), ("extend-row-column", "--word-file"),
+                       ("more-ent", "--i")):
+        code, stdout, stderr = run_cli("propagate", "--rule", rule, g16)
+        assert code == 2 and f"needs {flag}" in stderr
 
 
 def test_no_assert_statements_in_package():

@@ -452,6 +452,87 @@ def test_classical_steps_round_trip_and_replay():
         assert prop.step_to_text(back) == text
 
 
+def one_step_per_table_rule():
+    C = lcd_54()
+    tetra = hermitian_construct(LinearCode(F9, [[1, 0, 1, 1], [0, 1, 1, 2]]))
+    return [
+        prop.hull_reduce_step(prop.extend_column(C), 0),
+        prop.extend_column_step(C, search=True),
+        prop.extend_row_column_step(C, qualifying_word(C)),
+        prop.more_entanglement_step(tetra, 1),
+        prop.same_entanglement_step(q_from_dual_of(C), search=True),
+        prop.less_entanglement_step(q_from_dual_of(C)),
+    ]
+
+
+def test_every_table_rule_round_trips_and_replays():
+    steps = one_step_per_table_rule()
+    assert [s.rule_id for s in steps] == list(prop.RULES)
+    for step in steps:
+        text = prop.step_to_text(step)
+        back = prop.step_from_text(text)
+        rule = prop.RULES[back.rule_id]
+        assert back.certificate["input"] == step.certificate["input"]
+        assert rule.datum in back.certificate
+        replayed = prop.replay_step(back)
+        if rule.lifted:
+            assert (str(replayed), replayed.purity) == (
+                str(step.output_params), step.output_params.purity)
+        else:
+            assert replayed == step.certificate["output"]
+        assert prop.step_to_text(back) == text
+
+
+def _forge(step, name, code):
+    """Text of `step` with certificate code `name` replaced, read back."""
+    cert = dict(step.certificate, **{name: code})
+    return prop.step_from_text(prop.step_to_text(prop.PropagationStep(
+        step.rule_id, step.input_params, step.output_params, cert)))
+
+
+def test_replay_rejects_forged_more_ent_code():
+    Q = hermitian_construct(LinearCode(F9, [[1, 0, 1, 1], [0, 1, 1, 2]]))
+    step = prop.more_entanglement_step(Q, 1)
+    assert str(prop.replay_step(prop.step_from_text(prop.step_to_text(step)))) == "[[4,1,3;1]]_3"
+    forged = LinearCode(F9, [[1, 4, 4, 0], [0, 0, 0, 1]])  # d = 1
+    assert forged.min_distance().value == 1
+    with pytest.raises(EaqeccError):
+        prop.replay_step(_forge(step, "code", forged))
+    # an input code that does not give the recorded [[n, kappa; c]]
+    with pytest.raises(EaqeccError):
+        prop.replay_step(_forge(step, "input", lcd_54()))
+
+
+def test_replay_rejects_forged_same_ent_code():
+    step = prop.same_entanglement_step(q_from_dual_of(lcd_54()), search=True)
+    assert str(step.output_params) == "[[6,3,3;1]]_3"
+    G = step.certificate["code"].G.array.copy()
+    G[:, [-2, -1]] = G[:, [-1, -2]]
+    swapped = LinearCode(F9, G)
+    assert swapped != step.certificate["code"]
+    with pytest.raises(EaqeccError):
+        prop.replay_step(_forge(step, "code", swapped))
+
+
+@pytest.mark.parametrize("rule_id", list(prop.RULES))
+def test_header_only_step_raises_eaqecc_error(rule_id):
+    for params in ("none", "3 4 1 2 1 pure x"):
+        step = prop.step_from_text(f"#v1 step rule={rule_id}\ninput {params}\noutput {params}\n")
+        with pytest.raises(EaqeccError):
+            prop.replay_step(step)
+
+
+def test_replay_rejects_wrongly_typed_or_out_of_range_fields():
+    for step in one_step_per_table_rule():
+        rule = prop.RULES[step.rule_id]
+        for name, value in (("input", (1, 2)), (rule.datum, 3), (rule.datum, (200,) * 4),
+                            (rule.output, "x"), ("input", None)):
+            bad = prop.PropagationStep(step.rule_id, step.input_params, step.output_params,
+                                       dict(step.certificate, **{name: value}))
+            with pytest.raises(EaqeccError):
+                prop.replay_step(bad)
+
+
 def test_classical_step_replay_detects_wrong_output():
     C = lcd_54()
     step = prop.extend_column_step(C)

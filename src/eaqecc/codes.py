@@ -209,7 +209,7 @@ def relative_distance(
         allf = DistanceFact(scan.min_weight, "exact", "enumeration", scan.witness)
         return out, allf
     res = dist.information_set_bounds(
-        field, big.G.array, work_budget=work_budget, sub_checker=sub.contains_vector
+        field, big.G.array, work_budget=work_budget, subcode=sub.G.array
     )
     return res.outside_fact, res.fact
 

@@ -1,6 +1,7 @@
 """Minimum-weight search over linear code spans.
 
-Two walks cover every search, both built by one expansion step:
+Two walks cover every search, both built by one expansion step
+(`_prepend`, which adds every multiple of a row to a block of words):
 
 * the scalar-class walk (`span_blocks`) visits every codeword up to
   scalar multiples in a fixed order.  It serves the exact scan
@@ -12,15 +13,23 @@ Two walks cover every search, both built by one expansion step:
   message weight, tightening a lower bound while low-weight witnesses
   tighten the upper bound, until the two meet or a budget runs out.
 
-Codewords are handled as per-digit planes (base-p coefficients of each
-symbol), private to this module, so that field addition becomes plain
-integer addition with a deferred reduction; only tiny 256-entry lookup
-tables appear in the inner loops.
+Inside this module codewords are held as planes, batch axis last, and
+the layout depends on the characteristic p alone:
+
+* p = 2 and p = 3 (`_BitPlanes`): packed uint64 bit planes, 64 symbols
+  per word.  Addition is XOR for p = 2 and six bitwise operations on
+  one-hot trits for p = 3; a distance is a popcount of the OR of the
+  planes' XORs.
+* p >= 5 (`_DigitPlanes`): one uint8 plane per base-p digit, added
+  modulo p.
+
+Both walks weigh a block of sums X + y as the distances from X to -y,
+so their heaviest step never forms the sums.  Planes unpack to field
+values only for witnesses and for `span_values`.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -33,6 +42,9 @@ from .fields import FieldSpec
 DEFAULT_ENUM_CAP = 10**8
 DEFAULT_WORK_BUDGET = 10**8
 _BLOCK_TARGET = 1 << 16
+# words per batch of information-set supports: larger batches raise peak
+# memory and gain no measurable speed
+_BATCH_WORDS = 1 << 15
 _TENSOR_ELEM_CAP = 1 << 28
 
 
@@ -68,49 +80,119 @@ class DistanceFact:
         return f"<= {self.value}"
 
 
-@functools.cache
-def _mod_tables(p: int):
-    """(nonzero, value) lookup tables mod p for raw uint8 digit sums."""
-    r = np.arange(256, dtype=np.uint16) % p
-    nz8, val8 = (r != 0).astype(np.uint8), r.astype(np.uint8)
-    nz8.flags.writeable = val8.flags.writeable = False
-    return nz8, val8
+class _BitPlanes:
+    """Words of length m over GF(p^s), p in {2, 3}, as packed uint64 bit planes.
+
+    Shape (P, W, *batch), batch last so that each plane op runs over
+    contiguous words; W = ceil(m / 64) and bit i of word j is symbol
+    64 j + i.  For p = 2 plane t holds digit t of each symbol (P = s)
+    and field addition is XOR.  For p = 3 planes t and s + t flag digit
+    t equal to 1 and to 2 (P = 2 s), a one-hot trit added in six
+    bitwise operations.  Either way a symbol is nonzero, or two symbols
+    differ, exactly when some plane has (or differs in) that bit.
+    """
+
+    def __init__(self, field: FieldSpec, m: int):
+        self.field, self.m = field, m
+        self.words = -(-m // 64)
+        p, s = field.p, field.s
+        # what a set bit of each plane adds to its symbol's value
+        self.plane_values = [v * p**t for v in range(1, p) for t in range(s)]
+
+    def encode(self, vals: np.ndarray) -> np.ndarray:
+        """(*batch, m) field values -> (P, W, *batch) planes."""
+        batch, P, N = vals.shape[:-1], len(self.plane_values), math.prod(vals.shape[:-1])
+        digits = self.field.DIGITS[vals.reshape(N, self.m)].transpose(2, 0, 1)  # (s, N, m)
+        onehot = digits == np.arange(1, self.field.p).reshape(-1, 1, 1, 1)  # (p-1, s, N, m)
+        bits = np.zeros((P, N, 64 * self.words), dtype=bool)
+        bits[..., : self.m] = onehot.reshape(P, N, self.m)
+        packed = np.packbits(bits, axis=-1, bitorder="little").view("<u8").astype(np.uint64)
+        return np.ascontiguousarray(packed.transpose(0, 2, 1)).reshape((P, self.words) + batch)
+
+    def add(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        if self.field.p == 2:
+            return A ^ B
+        h = len(A) // 2
+        a1, a2, b1, b2 = A[:h], A[h:], B[:h], B[h:]
+        t = (a1 | b2) ^ (a2 | b1)
+        return np.concatenate(((a2 | b2) ^ t, (a1 | b1) ^ t))
+
+    def neg(self, X: np.ndarray) -> np.ndarray:
+        if self.field.p == 2:
+            return X
+        h = len(X) // 2
+        return np.concatenate((X[h:], X[:h]))
+
+    def distance(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """Positions where the words of A and B differ, batch axes broadcast."""
+        # one plane at a time: no temporary holds all P planes
+        acc = A[0] ^ B[0]
+        for a, b in zip(A[1:], B[1:]):
+            acc |= a ^ b
+        return np.bitwise_count(acc).sum(axis=0, dtype=np.intp)
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        """(P, W, *batch) planes -> (*batch, m) field values."""
+        out = 0
+        for plane, v in zip(X, self.plane_values):
+            raw = np.ascontiguousarray(np.moveaxis(plane, 0, -1), dtype="<u8").view(np.uint8)
+            out = out + v * np.unpackbits(raw, axis=-1, count=self.m, bitorder="little")
+        return out
 
 
-def _row_multiple_planes(field: FieldSpec, row: np.ndarray) -> np.ndarray:
-    """(q, s, n) planes of every scalar multiple of the row."""
-    q = field.order
-    vals = field.MUL[np.arange(q, dtype=np.uint8)[:, None], row[None, :]]
-    return np.ascontiguousarray(field.DIGITS[vals].transpose(0, 2, 1))
+class _DigitPlanes:
+    """Words of length m over GF(p^s), p >= 5, as one uint8 plane per base-p digit.
+
+    Shape (s, m, *batch); every plane holds reduced digits.
+    """
+
+    def __init__(self, field: FieldSpec, m: int):
+        self.field, self.m = field, m
+
+    def encode(self, vals: np.ndarray) -> np.ndarray:
+        digits = self.field.DIGITS[vals.reshape(math.prod(vals.shape[:-1]), self.m)]
+        return np.ascontiguousarray(digits.transpose(2, 1, 0)).reshape(
+            (self.field.s, self.m) + vals.shape[:-1])
+
+    def add(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        # A + B mod p without leaving uint8: each branch is taken only
+        # where it cannot wrap
+        D = self.field.p - B
+        return np.where(A >= D, A - D, A + B)
+
+    def neg(self, X: np.ndarray) -> np.ndarray:
+        return np.where(X == 0, X, self.field.p - X)
+
+    def distance(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        return (A != B).any(axis=0).sum(axis=0)
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        out = X[-1]
+        for t in range(self.field.s - 2, -1, -1):
+            # every partial value is below the final one, so uint8 never wraps
+            out = out * self.field.p + X[t]
+        return np.ascontiguousarray(np.moveaxis(out, 0, -1))
 
 
-def _planes_to_values(field: FieldSpec, planes: np.ndarray) -> np.ndarray:
-    """(..., s, n) raw planes -> (..., n) encoded element values, reducing mod p."""
-    _, val8 = _mod_tables(field.p)
-    out = val8[planes[..., -1, :]]
-    for j in range(field.s - 2, -1, -1):
-        # every partial value is below the final one, so uint8 never wraps
-        out = out * field.p + val8[planes[..., j, :]]
-    return out
+def _planes(field: FieldSpec, m: int):
+    """The plane layout for words of length m: bit planes for p <= 3."""
+    return (_BitPlanes if field.p <= 3 else _DigitPlanes)(field, m)
 
 
-def _add_planes(field: FieldSpec, A: np.ndarray, B: np.ndarray, reduce_now: bool) -> np.ndarray:
-    """A + B on digit planes; stays in uint8, widening when p could wrap."""
-    if field.p > 128:
-        # two reduced planes can sum past 255; widen, reduce, narrow
-        return ((A.astype(np.uint16) + B) % field.p).astype(np.uint8)
-    T = A + B
-    return _mod_tables(field.p)[1][T] if reduce_now else T
+def _multiples(planes, rows: np.ndarray) -> np.ndarray:
+    """(P, W, k, q) planes of c * rows[i] for every row i and scalar c."""
+    q = planes.field.order
+    return planes.encode(planes.field.MUL[np.arange(q)[None, :, None], rows[:, None, :]])
 
 
-def _symbol_weights(field: FieldSpec, block: np.ndarray) -> np.ndarray:
-    """(B, s, n) raw planes -> (B,) nonzero-symbol counts."""
-    nz8, _ = _mod_tables(field.p)
-    nz = nz8[block]
-    sym = nz[:, 0]
-    for j in range(1, block.shape[1]):
-        sym = sym | nz[:, j]
-    return sym.sum(axis=1, dtype=np.int64)
+def _prepend(planes, mult: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Every word of mult plus every word of T, mult's index varying slowest.
+
+    mult is (P, W, ..., c) and T (P, W, ..., B); the result is
+    (P, W, ..., c * B).  Building a span by prepending rows keeps the
+    large block as the innermost axis of every operation.
+    """
+    return planes.add(mult[..., :, None], T[..., None, :]).reshape(T.shape[:-1] + (-1,))
 
 
 @dataclass
@@ -147,21 +229,23 @@ def span_weight_scan(
     if q**k > cap:
         raise BudgetError(f"q^k = {q}^{k} exceeds enumeration cap {cap}")
     order = list(range(sub_rows, k)) + list(range(sub_rows))
+    planes = _planes(field, n)
     best = {}  # "all", and "out" with a subcode: (weight, witness planes)
     scanned = 0
-    for lead, block in span_blocks(field, rows[order]):
-        wts = _symbol_weights(field, block)
+    for lead, T, shift in span_blocks(field, rows[order]):
+        # T + shift weighs as much as T differs from -shift
+        wts = planes.distance(T, planes.neg(shift)[..., None])
         i = int(np.argmin(wts))
         for key in ("all", "out") if sub_rows and lead < k - sub_rows else ("all",):
             if key not in best or wts[i] < best[key][0]:
-                best[key] = int(wts[i]), block[i].copy()
-        scanned += len(block)
+                best[key] = int(wts[i]), planes.add(T[..., i : i + 1], shift[..., None])
+        scanned += len(wts)
 
     def unpack(key):
         if key not in best:
             return None, None
-        w, planes = best[key]
-        return w, tuple(int(v) for v in _planes_to_values(field, planes))
+        w, word = best[key]
+        return w, tuple(int(v) for v in planes.values(word)[0])
 
     w_all, wit_all = unpack("all")
     w_out, wit_out = unpack("out") if sub_rows else (w_all, wit_all)
@@ -176,43 +260,39 @@ def _block_split(q: int, count: int):
     return b
 
 
-def _expand(field, T, mult, reduce_now) -> np.ndarray:
-    """Every word of T plus every plane of mult, T's index varying slowest."""
-    s, n = mult.shape[1:]
-    return _add_planes(field, T[:, None], mult[None], reduce_now).reshape(-1, s, n)
-
-
 def span_blocks(field: FieldSpec, rows: np.ndarray):
-    """Yield (lead, (B, s, n) plane block) over span(rows), one word per scalar class.
+    """Yield (lead, T, shift) over span(rows), one word per scalar class.
 
-    Each word is rows[lead] + sum_{r > lead} c_r rows[r]; leads ascend
-    and, within a lead, the tails (c_{lead+1}, ..., c_{k-1}) come in
-    lexicographic order.
+    The block's words are T[..., j] + shift in the plane layout
+    `_planes(field, n)`: T holds B words, batch axis last, and shift is
+    one word.  Each word is rows[lead] + sum_{r > lead} c_r rows[r];
+    leads ascend and, within a lead, the tails (c_{lead+1}, ...,
+    c_{k-1}) come in lexicographic order.
     """
     k, n = rows.shape
-    q, s = field.order, field.s
-    mults = [_row_multiple_planes(field, rows[i]) for i in range(k)]
-    built = None
+    q = field.order
+    planes = _planes(field, n)
+    mults = _multiples(planes, rows)
+    # the span of the trailing rows in lexicographic order; the span of
+    # the last b of them is its first q^b words
+    T = planes.encode(np.zeros((1, n), dtype=np.uint8))
+    for r in range(k - 1, k - 1 - _block_split(q, k - 1), -1):
+        T = _prepend(planes, mults[..., r, :], T)
     for lead in range(k):
         b = _block_split(q, k - lead - 1)
-        reduce_levels = (field.p - 1) * (b + 2) > 255
-        if built != b:  # the span of the trailing b rows, shared across leads
-            T = np.zeros((1, s, n), dtype=np.uint8)
-            for r in range(k - b, k):
-                T = _expand(field, T, mults[r], reduce_levels)
-            built = b
         prefix = range(lead + 1, k - b)
         for combo in itertools.product(range(q), repeat=len(prefix)):
-            pw = mults[lead][1]
+            pw = mults[..., lead, 1]
             for r, cf in zip(prefix, combo):
-                pw = _add_planes(field, pw, mults[r][cf], True)
-            yield lead, _add_planes(field, T, pw[None], reduce_levels)
+                pw = planes.add(pw, mults[..., r, cf])
+            yield lead, T[..., : q**b], pw
 
 
 def span_values(field: FieldSpec, rows: np.ndarray):
     """span_blocks with each block as (B, n) encoded field elements."""
-    for lead, block in span_blocks(field, rows):
-        yield lead, _planes_to_values(field, block)
+    planes = _planes(field, rows.shape[1])
+    for lead, T, shift in span_blocks(field, rows):
+        yield lead, planes.values(planes.add(T, shift[..., None]))
 
 
 # --------------------------------------------------------------------------
@@ -226,8 +306,8 @@ class _SystematicForm:
     pivots: list           # pivot columns
     fresh: list            # pivots inside this form's fresh region
     deficit: int           # k - len(fresh)
-    A: np.ndarray          # generator restricted to non-pivot columns
-    mults: list            # per-row multiple planes of A
+    planes: object         # plane layout of the non-pivot columns
+    mults: np.ndarray      # planes of every row multiple, restricted to them
     r: int = 0             # message weights fully enumerated so far
 
 
@@ -246,9 +326,9 @@ def _systematic_forms(field: FieldSpec, G: np.ndarray):
             break
         remaining -= set(fresh)
         nonpiv = [c for c in range(n) if c not in set(pivots)]
-        A = R.array[:, nonpiv]
-        mults = [_row_multiple_planes(field, A[i]) for i in range(k)]
-        forms.append(_SystematicForm(R.array, pivots, fresh, k - len(fresh), A, mults))
+        planes = _planes(field, len(nonpiv))
+        mults = _multiples(planes, R.array[:, nonpiv])
+        forms.append(_SystematicForm(R.array, pivots, fresh, k - len(fresh), planes, mults))
     return forms
 
 
@@ -257,97 +337,124 @@ class _BudgetExhausted(Exception):
 
 
 class _ISState:
-    def __init__(self, field, G, budget, sub_checker=None):
+    def __init__(self, field, G, budget, subcode=None):
+        from .matrix import MatrixFq  # local import; matrix builds on fields only
+
         self.field = field
-        self.G = G
         self.k, self.n = G.shape
         self.budget = budget
         self.work = 0
         self.ub = self.n + 1
         self.witness = None
-        self.sub_checker = sub_checker
+        self.sub = None
+        if subcode is not None:
+            # a word lies in the subcode when its pivot entries rebuild it
+            R, rank, pivots = MatrixFq(field, subcode).rref()
+            self.sub = R.array[:rank], pivots
         self.ub_out = self.n + 1
         self.witness_out = None
 
     @property
     def threshold(self):
-        return self.ub_out if self.sub_checker else self.ub
+        return self.ub if self.sub is None else self.ub_out
 
-    def offer_message(self, form, support, coeffs, weight):
-        if weight >= self.threshold:
-            return
-        msg = np.zeros(self.k, dtype=np.uint8)
-        for i, c in zip(support, coeffs):
-            msg[i] = c
-        from .matrix import gf_matmul
-
-        word = gf_matmul(msg[None, :], form.G, self.field)[0]
-        if int((word != 0).sum()) != weight:
-            raise EaqeccError(f"information-set word does not have weight {weight}")
-        if weight < self.ub:
-            self.ub = weight
-            self.witness = tuple(int(v) for v in word)
-        if self.sub_checker and weight < self.ub_out and not self.sub_checker(word):
-            self.ub_out = weight
-            self.witness_out = tuple(int(v) for v in word)
-
-    def charge(self, count):
-        self.work += count
-        if self.work > self.budget:
+    def charge(self, leaves, size):
+        """Charge `leaves` leaves of `size` messages each, one at a time."""
+        fit = (self.budget - self.work) // size
+        if leaves > fit:
+            self.work += (fit + 1) * size
             raise _BudgetExhausted()
+        self.work += leaves * size
+
+    def offer_leaves(self, form, supports, wts):
+        """Charge the leaves in order and offer each one's words below the threshold.
+
+        wts[j] holds the weights of the words of support j; a leaf is
+        charged before its words are offered, so a budget that runs out
+        stops at the leaf where it ran out.
+        """
+        charged = 0
+        mins = wts.min(axis=1)
+        for j in np.flatnonzero(mins < self.threshold).tolist():
+            if mins[j] < self.threshold:  # the threshold only falls
+                self.charge(j + 1 - charged, wts.shape[1])
+                charged = j + 1
+                self._offer_leaf(form, supports[j], wts[j])
+        self.charge(len(wts) - charged, wts.shape[1])
+
+    def _offer_leaf(self, form, support, wts):
+        """Offer every word below the threshold, lightest first.
+
+        A light word of the subcode must not hide a light word outside
+        it, so all of them are encoded and tested in one product each.
+        """
+        from .matrix import gf_matmul  # local import; matrix builds on fields only
+
+        idx = np.flatnonzero(wts < self.threshold)
+        idx = idx[np.argsort(wts[idx], kind="stable")]
+        # the flat index enumerates later levels fastest
+        q1, w = self.field.order - 1, len(support)
+        msgs = np.zeros((len(idx), self.k), dtype=np.uint8)
+        msgs[:, support[0]] = 1
+        for level, i in enumerate(support[1:], 1):
+            msgs[:, i] = idx // q1 ** (w - 1 - level) % q1 + 1
+        words = gf_matmul(msgs, form.G, self.field)
+        wrong = np.flatnonzero((words != 0).sum(axis=1) != wts[idx])
+        if len(wrong):
+            raise EaqeccError(f"information-set word does not have weight {wts[idx[wrong[0]]]}")
+        if self.sub is not None:
+            R, pivots = self.sub
+            inside = (gf_matmul(words[:, pivots], R, self.field) == words).all(axis=1)
+        for t, weight in enumerate(int(v) for v in wts[idx]):
+            if weight >= self.threshold:
+                return
+            if weight < self.ub:
+                self.ub = weight
+                self.witness = tuple(int(v) for v in words[t])
+            if self.sub is not None and weight < self.ub_out and not inside[t]:
+                self.ub_out = weight
+                self.witness_out = tuple(int(v) for v in words[t])
 
 
 def _bz_weight_pass(state: _ISState, form: _SystematicForm, w: int):
-    """Enumerate all messages of weight w for one systematic form."""
+    """Enumerate all messages of weight w for one systematic form.
+
+    Supports come in combinations order, in batches of at most
+    _BATCH_WORDS words (one support when its leaf alone is larger);
+    each support's leaf holds its (q-1)^(w-1) messages, first
+    coefficient 1 and later levels varying fastest.
+    """
     field = state.field
     q = field.order
     k = state.k
     if w > k:
         return
+    leaf = (q - 1) ** (w - 1)
     if w >= state.threshold:
         # no codeword from this pass can beat the current upper bound
         # (its weight is at least the message weight); the pass still
         # counts as completed for the lower-bound bookkeeping
-        state.charge(math.comb(k, w) * (q - 1) ** (w - 1))
+        state.charge(1, math.comb(k, w) * leaf)
         return
-    if (q - 1) ** (w - 1) * form.A.shape[1] * field.s > _TENSOR_ELEM_CAP:
+    planes, mults = form.planes, form.mults
+    if leaf * planes.m * field.s > _TENSOR_ELEM_CAP:
         raise BudgetError("weight-pass tensor would exceed the memory cap")
-    mults = form.mults
-    m = form.A.shape[1]
-    s = field.s
-    reduce_levels = (field.p - 1) * (w + 1) > 255
-
-    def leaf(T, support):
-        wts = w + _symbol_weights(field, T)
-        state.charge(T.shape[0])
-        # offer every word below the threshold, lightest first: a light
-        # word of the subcode must not hide a light word outside it
-        while True:
-            i = int(np.argmin(wts))
-            if int(wts[i]) >= state.threshold:
-                return
-            coeffs = []
-            rest = i
-            for _ in range(w - 1):
-                coeffs.append(rest % (q - 1) + 1)
-                rest //= q - 1
-            # flat index enumerates later levels fastest; rebuild in order
-            state.offer_message(form, support, [1] + coeffs[::-1], int(wts[i]))
-            wts[i] = state.n + 1
-
-    def rec(start, depth, T, support):
-        remaining = w - depth
-        for i in range(start, k - remaining + 1):
-            if depth == 0:
-                T2 = mults[i][1:2].copy()
-            else:
-                T2 = _expand(field, T, mults[i][1:], reduce_levels)
-            if depth + 1 == w:
-                leaf(T2, support + [i])
-            else:
-                rec(i + 1, depth + 1, T2, support + [i])
-
-    rec(0, 0, np.zeros((0, s, m), dtype=np.uint8), [])
+    supports = itertools.chain.from_iterable(itertools.combinations(range(k), w))
+    batch = max(1, _BATCH_WORDS // leaf) * w
+    index = np.min_scalar_type(k)  # small support arrays keep peak memory flat
+    while True:
+        S = np.fromiter(itertools.islice(supports, batch), dtype=index).reshape(-1, w)
+        if not len(S):
+            return
+        # level 0 takes coefficient 1 only, and X starts from that word (the
+        # zero word when level 0 is the last); the last level is never
+        # built: X + c row weighs as much as X differs from -c row
+        X = mults[..., S[:, 0], int(w > 1), None]
+        for level in range(w - 2, 0, -1):
+            X = _prepend(planes, mults[..., S[:, level], 1:], X)
+        last = mults[..., S[:, -1, None], field.NEG[1 : (2 if w == 1 else q)]]
+        wts = planes.distance(X[..., None, :], last[..., :, None])
+        state.offer_leaves(form, S, w + wts.transpose(0, 2, 1).reshape(len(S), -1))
 
 
 @dataclass
@@ -363,24 +470,23 @@ def information_set_bounds(
     G: np.ndarray,
     target: int | None = None,
     work_budget: int = DEFAULT_WORK_BUDGET,
-    sub_checker=None,
+    subcode: np.ndarray | None = None,
 ) -> ISResult:
     """Bound the minimum distance of the code generated by G.
 
     Stops as soon as the bounds meet (exact), the optional target lower
     bound is certified, or the work budget (enumerated messages) runs
-    out.  sub_checker, if given, maps a codeword array to True when it
-    lies in a distinguished subcode; the result then carries a second
-    fact for the minimum weight outside that subcode, and the loop runs
-    until the bounds outside the subcode meet (the whole code's bounds
-    meet no later).
+    out.  subcode, if given, holds generator rows of a distinguished
+    subcode; the result then carries a second fact for the minimum
+    weight outside that subcode, and the loop runs until the bounds
+    outside the subcode meet (the whole code's bounds meet no later).
     """
     k, n = G.shape
     if k < 1:
         raise PreconditionError("information-set bounds need dimension >= 1")
     q = field.order
     forms = _systematic_forms(field, G)
-    state = _ISState(field, G, work_budget, sub_checker)
+    state = _ISState(field, G, work_budget, subcode)
 
     def lower_bound():
         lb = sum(max(0, f.r + 1 - f.deficit) for f in forms)
@@ -423,7 +529,7 @@ def information_set_bounds(
             upper_witness=state.witness,
         )
     out = None
-    if sub_checker is not None:
+    if subcode is not None:
         if state.ub_out <= lb:
             out = DistanceFact(state.ub_out, "exact", "information_sets", state.witness_out)
         else:

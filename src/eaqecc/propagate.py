@@ -35,7 +35,7 @@ from .matrix import MatrixFq, check_text_shape, gf_matmul, hermitian_congruence_
 
 DEFAULT_SEARCH_BUDGET = 10**4
 DEFAULT_SPACE_CAP = 2**20
-# more_ent re-derives its output by a fresh construction while q^(n-k) stays below this
+# more_ent steps and replay enumerate the ingredient's dual while q^(n-k) stays below this
 MORE_ENT_VERIFY_CAP = 10**6
 
 
@@ -764,9 +764,10 @@ def replay_step(step: PropagationStep):
     """Re-derive the output from the certificate; raises on any mismatch.
 
     A table rule checks that its input code gives the recorded input's
-    [[n, kappa; c]] (entanglement rules only), re-applies its transform
-    to that code and datum, compares the result with the recorded code
-    and, for an entanglement rule, lifts it and compares the parameters.
+    [[n, kappa; c]] and delta (entanglement rules only), re-applies its
+    transform to that code and datum, compares the result with the
+    recorded code and, for an entanglement rule, lifts it and compares
+    the parameters.
     Quantum steps return the recomputed EaqeccParams, classical steps the
     recomputed LinearCode, min_ent_search steps the search result.
     """
@@ -792,6 +793,7 @@ def replay_step(step: PropagationStep):
         c = k - code.hull_dim
         if (code.field.subfield_order, code.n, code.n - 2 * k + c, c) != (Q.q, Q.n, Q.kappa, Q.c):
             raise EaqeccError(f"replay mismatch for {rid}: the input code does not give {Q}")
+        _check_input_delta(rid, code.hermitian_dual() if rule.on_dual else code, Q)
     datum, q = _cert_value(cert, rule.datum, tuple), code.field.order
     if not all(0 <= v < q for v in datum):
         raise EaqeccError(f"{rid} certificate {rule.datum} has entries outside GF({q})")
@@ -800,6 +802,24 @@ def replay_step(step: PropagationStep):
         raise EaqeccError(f"replay mismatch for {rid}: derived code differs")
     # the recorded code equals got and may carry cached distances
     return _check_output(step, _lift(rid, Q, recorded, cert)) if rule.lifted else got
+
+
+def _check_input_delta(rid: str, C: LinearCode, Q: EaqeccParams):
+    """Recompute the delta of the ingredient C and hold the recorded input to it.
+
+    Enumeration settles delta while q^(n-k) stays within
+    MORE_ENT_VERIFY_CAP, information sets within the construction's
+    work budget beyond it; a delta they leave open is not compared.  A
+    recorded lower bound must not exceed the true delta.
+    """
+    delta = hermitian_construct(C, enum_cap=MORE_ENT_VERIFY_CAP).delta
+    if not delta.exact:
+        return
+    if Q.delta.value != delta.value if Q.delta.exact else Q.delta.value > delta.value:
+        raise EaqeccError(
+            f"replay mismatch for {rid}: the input code gives delta {delta.value}, "
+            f"recorded {Q.delta.value}"
+        )
 
 
 _INT = (int, np.integer)

@@ -101,6 +101,23 @@ def test_propagate_extend_column_writes_step(tmp_path):
     assert prop.replay_step(step) == derived
 
 
+def test_more_ent_step_file_with_raised_delta_is_rejected(tmp_path):
+    step_path = tmp_path / "step.txt"
+    code, _, _ = run_cli(
+        "propagate", "--rule", "more-ent", "--i", "1", str(DATA / "g16_5_9.txt"),
+        "--out-step", str(step_path), "--format", "machine",
+    )
+    assert code == 0
+    text = step_path.read_text()
+    assert str(prop.replay_step(prop.step_from_text(text))) == "[[16,9,5;3]]_3"
+    for old, new in (("input 3 16 8 5 2 pure ", "input 3 16 8 6 2 pure "),
+                     ("output 3 16 9 5 3 pure_to:5 ", "output 3 16 9 6 3 pure_to:6 ")):
+        assert old in text
+        text = text.replace(old, new)
+    with pytest.raises(EaqeccError, match="gives delta 5, recorded 6"):
+        prop.replay_step(prop.step_from_text(text))
+
+
 def test_min_ent_step_file(tmp_path):
     G = np.array([[1, 0, 1, 1], [0, 1, 1, 2]], dtype=np.uint8)
     p = tmp_path / "tetra.txt"

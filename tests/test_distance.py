@@ -29,14 +29,17 @@ def walk(field, rows):
 
 def test_span_walk_matches_oracle_order():
     rng = np.random.default_rng(48)
-    for q in (2, 3, 4, 5, 9, 16):
+    # GF(8) and GF(27) have s = 3 over both bit-plane layouts; the last
+    # row set has n > 64, two words per bit plane
+    shapes = [(q, k, None) for q in (2, 3, 4, 5, 9, 16, 8, 27)
+              for k in range(1, 5 if q < 9 else 4)] + [(3, 3, 100)]
+    for q, k, n in shapes:
         field = GF(q)
-        for k in range(1, 5 if q < 9 else 4):
-            n = int(rng.integers(1, 7))
-            rows = rng.integers(0, q, size=(k, n), dtype=np.uint8)  # dependent rows too
-            want = [(m.index(1), brute_encode(field, m, rows))
-                    for m in scalar_class_messages(q, k)]
-            assert walk(field, rows) == want, (q, k)
+        n = n or int(rng.integers(1, 7))
+        rows = rng.integers(0, q, size=(k, n), dtype=np.uint8)  # dependent rows too
+        want = [(m.index(1), brute_encode(field, m, rows))
+                for m in scalar_class_messages(q, k)]
+        assert walk(field, rows) == want, (q, k, n)
 
 
 def test_span_walk_order_across_blocks():
@@ -129,7 +132,7 @@ def test_information_sets_relative_tracking():
     rng = np.random.default_rng(46)
     C = random_code(F9, 7, 3, rng)
     sub = LinearCode(F9, C.G.array[:1])
-    res = information_set_bounds(F9, C.G.array, sub_checker=sub.contains_vector)
+    res = information_set_bounds(F9, C.G.array, subcode=sub.G.array)
     want = brute_min_outside(
         F9, C.G.array, lambda w: sub.contains_vector(np.array(w, dtype=np.uint8))
     )
@@ -140,8 +143,74 @@ def test_information_sets_relative_tracking():
         assert res.outside_fact.value <= want
 
 
+# (q, n, k, seed) of random_code, the call's options, then (fact, its
+# witness or upper witness) for the whole code and outside the subcode,
+# the work and the rounds.  The witnesses pin the walk order (supports in
+# combinations order, first coefficient 1, later levels fastest) and the
+# work pins the budget's leaf-by-leaf charging; "sub" names the subcode:
+# the first rows, or the span of the whole code's lightest word.
+IS_PINS = [
+    ((2, 40, 20, 1), {},
+     ("5", "0001000000100000000100000000000000101000"), None, 1560, (3, 2, 0)),
+    ((2, 90, 10, 2), {},  # n - k > 64: two words per plane
+     ("29", "0000011110000000001100010000000101000111010000000001"
+            "00000011000101110001110001001111000001"), None, 735, (3, 3, 2, 2, 2, 2, 2, 2, 2)),
+    ((3, 30, 15, 3), {},
+     ("6", "001000020000000210020000000002"), None, 2270, (3, 2, 0)),
+    ((4, 24, 12, 4), {},
+     ("5", "000010200000000000230001"), None, 222, (2, 1)),
+    ((5, 20, 10, 5), {},
+     ("6", "30101100001002000000"), None, 380, (2, 2)),
+    ((9, 18, 9, 6), {},
+     ("6", "010600000500340400"), None, 5970, (3, 2, 0)),
+    ((16, 14, 7, 7), {},
+     ("6", "0100000c037e03"), None, 644, (2, 2)),
+    ((9, 18, 9, 6), {"target": 5},
+     (">= 5, <= 6", "010600000500340400"), None, 594, (2, 2, 0)),
+    ((9, 18, 9, 6), {"work_budget": 50},
+     (">= 3, <= 7", "000010000600444120"), None, 58, (1, 1, 0)),
+    ((9, 18, 9, 6), {"work_budget": 500},
+     (">= 4, <= 6", "010600000500340400"), None, 506, (2, 1, 0)),
+    ((2, 40, 20, 1), {"work_budget": 1000},
+     (">= 4, <= 5", "0001000000100000000100000000000000101000"), None, 1001, (2, 2, 0)),
+    ((4, 20, 10, 8), {"sub": 9},
+     ("5", "20022000100100000000"), ("6", "00010000031020003030"), 1370, (3, 2, 0)),
+    ((4, 20, 10, 8), {"sub": 9, "work_budget": 150},
+     (">= 3, <= 6", "02200303301000000000"), (">= 3, <= 6", "00010000031020003030"), 152,
+     (1, 1, 0)),
+    ((9, 18, 9, 6), {"sub": 8},
+     ("6", "010600000500340400"), ("7", "000100003407024070"), 11346, (3, 3, 0)),
+    ((3, 30, 15, 3), {"sub": "lightest"},
+     ("6", "001000020000000210020000000002"), ("6", "000021001020000000000000010100"), 2270,
+     (3, 2, 0)),
+]
+
+
+@pytest.mark.parametrize("shape, options, fact, outside, work, rounds", IS_PINS)
+def test_information_sets_pinned_results(shape, options, fact, outside, work, rounds):
+    q, n, k, seed = shape
+    field = GF(q)
+    C = random_code(field, n, k, np.random.default_rng(seed))
+    options = dict(options)
+    if "sub" in options:
+        t = options.pop("sub")
+        rows = ([information_set_bounds(field, C.G.array).fact.witness] if t == "lightest"
+                else C.G.array[:t])
+        sub = LinearCode(field, np.array(rows, dtype=np.uint8))
+        options["subcode"] = sub.G.array
+
+    def summary(f):
+        w = f.witness or f.upper_witness
+        return str(f), "".join("0123456789abcdef"[v] for v in w)
+
+    res = information_set_bounds(field, C.G.array, **options)
+    assert summary(res.fact) == fact
+    assert (res.outside_fact and summary(res.outside_fact)) == outside
+    assert (res.work, res.rounds) == (work, rounds)
+
+
 def test_large_prime_field_enumeration():
-    # p > 128 exercises the widened-addition path
+    # p > 128: digit sums pass 255, so the digit planes must add without wrapping
     F = GF(251)
     rng = np.random.default_rng(47)
     C = random_code(F, 4, 2, rng)

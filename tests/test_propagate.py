@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -481,6 +482,20 @@ def test_every_table_rule_round_trips_and_replays():
         else:
             assert replayed == step.certificate["output"]
         assert prop.step_to_text(back) == text
+
+
+def test_replay_rejects_a_recorded_input_delta_the_code_does_not_give():
+    for step in one_step_per_table_rule():
+        if not prop.RULES[step.rule_id].lifted:
+            continue
+        Q = step.input_params
+        raised = dataclasses.replace(Q, delta=dataclasses.replace(Q.delta, value=Q.delta.value + 1))
+        out = step.output_params
+        if step.rule_id == "more_ent":  # the rule carries delta to its output
+            out = dataclasses.replace(out, delta=raised.delta)
+        forged = prop.PropagationStep(step.rule_id, raised, out, step.certificate)
+        with pytest.raises(EaqeccError, match="input code gives delta"):
+            prop.replay_step(prop.step_from_text(prop.step_to_text(forged)))
 
 
 def _forge(step, name, code):

@@ -14,7 +14,7 @@ from . import distance as dist
 from .distance import DistanceFact
 from .errors import EaqeccError, InvalidFieldError, PreconditionError
 from .fields import FieldSpec
-from .matrix import MatrixFq, gf_matmul
+from .matrix import MatrixFq, gf_matmul, in_row_space
 
 
 class LinearCode:
@@ -58,23 +58,16 @@ class LinearCode:
 
     # -- membership -----------------------------------------------------------
 
-    def reduce_vector(self, v: np.ndarray) -> np.ndarray:
-        """Residue of v after elimination against the generator rows."""
-        f = self.field
-        v = np.array(v, dtype=np.uint8)
-        Ga = self.G.array
-        for i, p in enumerate(self._pivots):
-            if v[p]:
-                v = f.ADD[v, f.MUL[f.NEG[v[p]], Ga[i]]]
-        return v
-
     def contains_vector(self, v) -> bool:
-        return not self.reduce_vector(v).any()
+        return bool(self._contains(np.asarray(v, dtype=np.uint8)[None, :])[0])
 
     def contains_code(self, other: "LinearCode") -> bool:
         if other.field != self.field or other.n != self.n:
             return False
-        return all(self.contains_vector(other.G.array[i]) for i in range(other.k))
+        return bool(self._contains(other.G.array).all())
+
+    def _contains(self, words: np.ndarray) -> np.ndarray:
+        return in_row_space(words, self.G.array, self._pivots, self.field)
 
     # -- duals and hulls ---------------------------------------------------------
 
@@ -141,10 +134,8 @@ class LinearCode:
     ) -> DistanceFact:
         """Exact minimum distance when affordable, honest bounds otherwise.
 
-        Full scalar-class enumeration while q^k <= enum_cap; beyond that
-        the information-set loop runs until exact, the optional target
-        lower bound is certified, or the work budget expires.  The zero
-        code gets the conventional value n + 1.
+        The engine is chosen by `_distance_facts`; facts are cached.  The
+        zero code gets the conventional value n + 1.
         """
         exact = self._cache.get("exact_d")
         if exact is not None:
@@ -154,13 +145,8 @@ class LinearCode:
             return self._cache[key]
         if self.k == 0:
             fact = DistanceFact(self.n + 1, "exact", "convention")
-        elif self.field.order**self.k <= enum_cap:
-            scan = dist.span_weight_scan(self.field, self.G.array, cap=enum_cap)
-            fact = DistanceFact(scan.min_weight, "exact", "enumeration", scan.witness)
         else:
-            fact = dist.information_set_bounds(
-                self.field, self.G.array, target=target, work_budget=work_budget
-            ).fact
+            fact = _distance_facts(self, None, enum_cap, work_budget, target)[1]
         if fact.exact:
             self._cache["exact_d"] = fact
         else:
@@ -189,9 +175,8 @@ def relative_distance(
 ):
     """(min weight of big \\ sub, min weight of big) as two facts.
 
-    sub must be a proper subcode of big.  One enumeration pass computes
-    both quantities when affordable; otherwise the information-set loop
-    reports honest bounds for each.
+    sub must be a proper subcode of big, possibly {0}.  One enumeration
+    pass or one information-set run (see `_distance_facts`) gives both.
     """
     if big.field != sub.field or big.n != sub.n:
         raise PreconditionError("codes live in different spaces")
@@ -199,17 +184,32 @@ def relative_distance(
         raise PreconditionError("second code is not contained in the first")
     if sub.k == big.k:
         raise PreconditionError("difference set is empty: the codes coincide")
-    field = big.field
     if big.k == 0:
         raise PreconditionError("the zero code has no nonzero words")
-    rows = _adapted_rows(big, sub)
-    if field.order**big.k <= enum_cap:
+    return _distance_facts(big, sub, enum_cap, work_budget, None)
+
+
+def _distance_facts(code: LinearCode, sub, enum_cap, work_budget, target):
+    """(fact outside sub, fact for the whole code): the one engine choice.
+
+    Scalar-class enumeration while q^k <= enum_cap; beyond that the
+    information-set loop, until exact, the optional target lower bound
+    is certified, or the work budget runs out.  With sub None there is
+    no subcode and the first fact is None; a zero-dimensional sub still
+    gets its own fact.
+    """
+    field = code.field
+    if field.order**code.k <= enum_cap:
+        if sub is None:
+            scan = dist.span_weight_scan(field, code.G.array, cap=enum_cap)
+            return None, DistanceFact(scan.min_weight, "exact", "enumeration", scan.witness)
+        rows = _adapted_rows(code, sub)
         scan = dist.span_weight_scan(field, rows, sub_rows=sub.k, cap=enum_cap)
         out = DistanceFact(scan.outside_min, "exact", "enumeration", scan.outside_witness)
-        allf = DistanceFact(scan.min_weight, "exact", "enumeration", scan.witness)
-        return out, allf
+        return out, DistanceFact(scan.min_weight, "exact", "enumeration", scan.witness)
     res = dist.information_set_bounds(
-        field, big.G.array, work_budget=work_budget, subcode=sub.G.array
+        field, code.G.array, target=target, work_budget=work_budget,
+        subcode=None if sub is None else sub.G.array,
     )
     return res.outside_fact, res.fact
 

@@ -117,7 +117,7 @@ def hermitian_construct(
     if known_distance is not None:
         delta = DistanceFact(known_distance, "exact", "citation")
         purity = "pure" if known_pure else "unknown"
-    elif C.contains_code(dual):
+    elif ell == n - k:  # the hull is all of the dual
         delta = dual.min_distance(enum_cap=enum_cap, work_budget=work_budget)
         purity = "pure" if delta.exact else "unknown"
     else:

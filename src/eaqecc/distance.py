@@ -388,7 +388,7 @@ class _ISState:
         A light word of the subcode must not hide a light word outside
         it, so all of them are encoded and tested in one product each.
         """
-        from .matrix import gf_matmul  # local import; matrix builds on fields only
+        from .matrix import gf_matmul, in_row_space  # local import; matrix builds on fields only
 
         idx = np.flatnonzero(wts < self.threshold)
         idx = idx[np.argsort(wts[idx], kind="stable")]
@@ -403,8 +403,7 @@ class _ISState:
         if len(wrong):
             raise EaqeccError(f"information-set word does not have weight {wts[idx[wrong[0]]]}")
         if self.sub is not None:
-            R, pivots = self.sub
-            inside = (gf_matmul(words[:, pivots], R, self.field) == words).all(axis=1)
+            inside = in_row_space(words, *self.sub, self.field)
         for t, weight in enumerate(int(v) for v in wts[idx]):
             if weight >= self.threshold:
                 return
@@ -516,29 +515,14 @@ def information_set_bounds(
         pass
 
     lb = lower_bound()
-    rounds = tuple(f.r for f in forms)
-    if state.ub <= lb:
-        fact = DistanceFact(state.ub, "exact", "information_sets", state.witness)
-    else:
-        fact = DistanceFact(
-            lb,
-            "lower_bound",
-            "information_sets",
-            None,
-            upper=state.ub if state.witness else None,
-            upper_witness=state.witness,
+
+    def fact(ub, witness):
+        if ub <= lb:
+            return DistanceFact(ub, "exact", "information_sets", witness)
+        return DistanceFact(
+            lb, "lower_bound", "information_sets", None,
+            upper=ub if witness else None, upper_witness=witness,
         )
-    out = None
-    if subcode is not None:
-        if state.ub_out <= lb:
-            out = DistanceFact(state.ub_out, "exact", "information_sets", state.witness_out)
-        else:
-            out = DistanceFact(
-                lb,
-                "lower_bound",
-                "information_sets",
-                None,
-                upper=state.ub_out if state.witness_out else None,
-                upper_witness=state.witness_out,
-            )
-    return ISResult(fact, out, state.work, rounds)
+
+    out = None if subcode is None else fact(state.ub_out, state.witness_out)
+    return ISResult(fact(state.ub, state.witness), out, state.work, tuple(f.r for f in forms))

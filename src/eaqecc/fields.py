@@ -135,7 +135,6 @@ class FieldSpec:
         self.p = p
         self.s = s
         self.order = order
-        self.q = order  # alias
         if s == 1:
             self.defining_poly = (0, 1)  # the class of x is 0; arithmetic is mod p
         else:

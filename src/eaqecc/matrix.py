@@ -46,6 +46,15 @@ def gf_matmul(A: np.ndarray, B: np.ndarray, field: FieldSpec) -> np.ndarray:
     return acc
 
 
+def in_row_space(words: np.ndarray, R: np.ndarray, pivots, field: FieldSpec) -> np.ndarray:
+    """Mask of the rows of `words` in the row space of the RREF rows R.
+
+    A word lies in that space exactly when its entries at R's pivot
+    columns, taken as coefficients of R's rows, rebuild it.
+    """
+    return (gf_matmul(words[:, pivots], R, field) == words).all(axis=1)
+
+
 class MatrixFq:
     """Immutable dense matrix over a FieldSpec."""
 
@@ -84,9 +93,6 @@ class MatrixFq:
     @property
     def cols(self) -> int:
         return self.array.shape[1]
-
-    def row(self, i):
-        return self.array[i]
 
     def __eq__(self, other):
         return (

@@ -35,8 +35,13 @@ from .matrix import MatrixFq, check_text_shape, gf_matmul, hermitian_congruence_
 
 DEFAULT_SEARCH_BUDGET = 10**4
 DEFAULT_SPACE_CAP = 2**20
-# more_ent steps and replay enumerate the ingredient's dual while q^(n-k) stays below this
+# more_ent steps and replay enumerate the ingredient's dual while q^(n-k) stays below
+# this, and the column search each candidate while q^k does
 MORE_ENT_VERIFY_CAP = 10**6
+# the column search tries every column while it has at most this many classes,
+# and otherwise this many congruence transforms (the first one unsampled)
+COLUMN_CLASS_CAP = 10**5
+COLUMN_GRAM_SAMPLES = 8
 
 
 # --------------------------------------------------------------------------
@@ -148,32 +153,25 @@ def _extend_column_with_cert(C, column, position, alpha, rng):
     return extend_with_column(C, column), column
 
 
-def extend_column_search(
-    C: LinearCode,
-    seed: int = 0,
-    gram_samples: int = 8,
-    enum_cap: int = 10**6,
-    class_cap: int = 10**5,
-) -> LinearCode:
+def extend_column_search(C: LinearCode, seed: int = 0) -> LinearCode:
     """Best extension by minimum distance over the available choices.
 
-    While the column space is small enough, every hull-raising column is
-    tried (one representative per scalar class, lexicographic order, so
-    the result is deterministic and the search is complete).  Larger
-    codes fall back to scanning positions, alpha values, and a seeded
-    sample of congruence transforms.  Distances come from full
-    enumeration, so q^k must stay below enum_cap.
+    While the column space has at most COLUMN_CLASS_CAP classes, every
+    hull-raising column is tried (one representative per scalar class,
+    lexicographic order, so the result is deterministic and the search
+    is complete).  Larger codes fall back to scanning positions, alpha
+    values, and a seeded sample of COLUMN_GRAM_SAMPLES congruence
+    transforms.  A candidate's distance need only show whether it beats
+    the best so far (`min_distance`'s target).
     """
-    return _extend_column_search_with_cert(C, seed, gram_samples, enum_cap, class_cap)[0]
+    return _extend_column_search_with_cert(C, seed)[0]
 
 
-def _extend_column_search_with_cert(C, seed, gram_samples, enum_cap, class_cap):
+def _extend_column_search_with_cert(C, seed):
     field = C.field
     ell = _check_extend_precondition(C)
     s = C.k - ell
-    if field.order**C.k > enum_cap:
-        raise BudgetError("extension search needs enumerable distances")
-    base_d = C.min_distance(enum_cap=enum_cap).value
+    d0 = C.min_distance(enum_cap=MORE_ENT_VERIFY_CAP, work_budget=CONSTRUCT_WORK_BUDGET)
     # scaling the new column by lambda multiplies its Gram contribution by
     # norm(lambda): distance is scale-invariant but the hull is not, so scan
     # one representative per norm value on top of each scalar class
@@ -181,7 +179,7 @@ def _extend_column_search_with_cert(C, seed, gram_samples, enum_cap, class_cap):
     classes = (field.order**C.k - 1) // (field.order - 1) * len(norm_reps)
 
     def candidates():
-        if classes <= class_cap:
+        if classes <= COLUMN_CLASS_CAP:
             for _, cols in dist.span_values(field, np.eye(C.k, dtype=np.uint8)):
                 for col in (field.MUL[mu, base] for base in cols for mu in norm_reps):
                     try:
@@ -192,19 +190,23 @@ def _extend_column_search_with_cert(C, seed, gram_samples, enum_cap, class_cap):
             return
         alphas = [a for a in field.elements() if field.norm(a) == field.neg(1)]
         rng = np.random.default_rng(seed)
-        for g in [None] + [rng] * max(0, gram_samples - 1):
+        for g in [None] + [rng] * (COLUMN_GRAM_SAMPLES - 1):
             for position in range(s):
                 for alpha in alphas:
                     yield _extend_column_with_cert(C, None, position, alpha, g)
 
     best = None
     for cand, col in candidates():
-        d2 = cand.min_distance(enum_cap=enum_cap).value
-        if not base_d <= d2 <= base_d + 1:
-            raise EaqeccError(f"column extension changed distance {base_d} to {d2}")
+        fact = cand.min_distance(
+            enum_cap=MORE_ENT_VERIFY_CAP, work_budget=CONSTRUCT_WORK_BUDGET,
+            target=(d0.value if best is None else best[0]) + 1,
+        )
+        d2 = fact.value
+        if d0.exact and fact.exact and not d0.value <= d2 <= d0.value + 1:
+            raise EaqeccError(f"column extension changed distance {d0.value} to {d2}")
         if best is None or d2 > best[0]:
             best = (d2, cand, col)
-        if d2 == base_d + 1:
+        if d2 == d0.value + 1:
             break
     if best is None:
         raise RuleNotApplicableError("no hull-raising column exists")
@@ -406,7 +408,7 @@ def extend_column_step(
 ) -> PropagationStep:
     """An explicit column wins over `search`; neither gives the default extension."""
     if search and column is None:
-        out, col = _extend_column_search_with_cert(C, seed, 8, 10**6, 10**5)
+        out, col = _extend_column_search_with_cert(C, seed)
     else:
         out, col = _extend_column_with_cert(C, column, position, alpha, rng)
     cert = {"input": C, "column": tuple(int(v) for v in col), "output": out}
@@ -855,10 +857,10 @@ def step_to_text(step: PropagationStep) -> str:
     for tag, params in (("input", step.input_params), ("output", step.output_params)):
         lines.append(f"{tag} {'none' if params is None else params.record_line()}")
     for name, val in sorted(step.certificate.items()):
-        if isinstance(val, (LinearCode, MatrixFq)):
-            kind, M = ("code", val.G) if isinstance(val, LinearCode) else ("matrix", val)
+        if isinstance(val, LinearCode):
+            M = val.G
             flat = " ".join(str(int(v)) for v in M.array.ravel())
-            lines.append(f"cert {name} {kind} {M.field.order} {M.rows} {M.cols} {flat}".rstrip())
+            lines.append(f"cert {name} code {M.field.order} {M.rows} {M.cols} {flat}".rstrip())
         elif isinstance(val, tuple):
             lines.append(f"cert {name} vector " + " ".join(str(int(v)) for v in val))
         elif isinstance(val, _INT):
@@ -904,17 +906,16 @@ def step_from_text(text: str) -> PropagationStep:
         if parts[0] != "cert" or len(parts) < 3:
             raise RecordParseError(f"expected 'cert <name> <kind> ...', got {ln!r}", no)
         name, kind = parts[1], parts[2]
-        if kind in ("code", "matrix"):
+        if kind == "code":
             if len(parts) < 6:
-                raise RecordParseError(f"{kind} needs q, rows and cols", no)
+                raise RecordParseError("code needs q, rows and cols", no)
             q, rows, cols = ints(parts[3:6], no)
             check_text_shape(rows, cols, no)
             F = GF(q)
             vals = ints(parts[6:], no, F.order)
             if len(vals) != rows * cols:
-                raise RecordParseError(f"{kind} {rows}x{cols} cannot hold {len(vals)} entries", no)
-            M = MatrixFq(F, np.array(vals, dtype=np.uint8).reshape(rows, cols))
-            cert[name] = LinearCode(F, M) if kind == "code" else M
+                raise RecordParseError(f"code {rows}x{cols} cannot hold {len(vals)} entries", no)
+            cert[name] = LinearCode(F, np.array(vals, dtype=np.uint8).reshape(rows, cols))
         elif kind == "vector":
             cert[name] = tuple(ints(parts[3:], no, 256))
         elif kind == "int":

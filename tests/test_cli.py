@@ -150,6 +150,36 @@ def test_propagate_less_ent_step_file(tmp_path):
     assert (replayed.n, replayed.kappa, replayed.delta.value, replayed.c) == (17, 2, 8, 7)
 
 
+def test_every_propagate_rule_on_the_paper_code_replays(tmp_path):
+    g16 = str(DATA / "g16_5_9.txt")
+    for rule, *opts in (
+        ("hull-reduce", "--ell", "0"),
+        ("extend-column", "--search"),
+        ("extend-row-column", "--word-file", str(DATA / "word16_w15.txt")),
+        ("more-ent", "--i", "1"),
+        ("same-ent",),
+        ("same-ent", "--search"),
+        ("less-ent",),
+    ):
+        step_path = tmp_path / f"{rule}{len(opts)}.txt"
+        code, stdout, stderr = run_cli(
+            "propagate", "--rule", rule, *opts, g16, "--out-step", str(step_path),
+            "--format", "machine",
+        )
+        assert code == 0, (rule, opts, stderr)
+        printed = dict(kv.split("=", 1) for kv in stdout.splitlines()[-1].split()[1:])
+        replayed = prop.replay_step(prop.step_from_text(step_path.read_text()))
+        if isinstance(replayed, LinearCode):
+            got = {"n": replayed.n, "k": replayed.k, "ell": replayed.hull_dim}
+        else:
+            got = {"q": replayed.q, "n": replayed.n, "kappa": replayed.kappa,
+                   "delta": replayed.delta.value, "c": replayed.c, "purity": replayed.purity}
+        assert {k: str(v) for k, v in got.items()} == {k: printed[k] for k in got}, (rule, opts)
+        if (rule, *opts) == ("same-ent", "--search"):
+            # the dual is [16,11]_9, past enumeration: information sets score the candidates
+            assert got == {"q": 3, "n": 17, "kappa": 7, "delta": 5, "c": 2, "purity": "pure"}
+
+
 def test_simple_rule_command():
     code, stdout, _ = run_cli(
         "simple-rule", "--rule", "1", "--record", "2 3 1 3 2 unknown paper-table",
@@ -289,7 +319,7 @@ def test_cli_error_paths(tmp_path):
         (head + "cert x int abc\n", 4),
         (head + "cert x int\n", 4),
         (head + "cert c code 9 2 3 1 0 0 0 1\n", 4),
-        (head + "cert c matrix 9 -1 3 1 0 0\n", 4),
+        (head + "cert c code 9 -1 3 1 0 0\n", 4),
         (head + "cert c code 9 1 2 1 300\n", 4),
         (head + "cert v vector 1 2 999\n", 4),
         ("#v1 step rule=x\ninput\noutput none\n", 2),

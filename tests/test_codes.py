@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from eaqecc import distance as dist
 from eaqecc.codes import LinearCode, min_weight_outside, random_code, relative_distance
 from eaqecc.errors import PreconditionError
 from eaqecc.fields import GF
 from eaqecc.matrix import MatrixFq
-from oracles import brute_min_distance, brute_min_outside, brute_weight_multiset
+from oracles import brute_codewords, brute_min_distance, brute_min_outside, brute_weight_multiset
 
 F2, F3, F4, F9 = GF(2), GF(3), GF(4), GF(9)
 
@@ -67,6 +68,21 @@ def test_hull_dim_matches_gram_rank_and_symmetry(field):
         assert C.hermitian_dual().contains_code(hull)
 
 
+def test_membership_against_brute_span():
+    rng = np.random.default_rng(31)
+    for field in (F2, F3, F4, F9):
+        for _ in range(6):
+            n = int(rng.integers(3, 7))
+            k = int(rng.integers(1, n))
+            C = random_code(field, n, k, rng)
+            span = set(brute_codewords(field, C.G.array))
+            for v in rng.integers(0, field.order, size=(40, n)):
+                assert C.contains_vector(v) == (tuple(int(x) for x in v) in span)
+            sub = LinearCode(field, C.G.array[: k // 2])
+            assert C.contains_code(sub) and sub.contains_code(C) == (k // 2 == k)
+            assert all(C.contains_vector(np.array(w, dtype=np.uint8)) for w in span)
+
+
 def test_lcd_code_has_trivial_hull():
     C = LinearCode(F9, np.hstack([np.eye(4, dtype=np.uint8), np.full((4, 1), 2, np.uint8)]))
     assert C.hull_dim == 0
@@ -100,6 +116,17 @@ def test_min_weight_outside_zero_subcode_equals_min_distance():
     C = random_code(F9, 7, 3, rng)
     zero = LinearCode(F9, MatrixFq.zeros(F9, 0, 7))
     assert min_weight_outside(C, zero).value == C.min_distance().value
+    # past the cap both run the information-set loop, the zero subcode included
+    for budget in (dist.DEFAULT_WORK_BUDGET, 1):
+        fresh = LinearCode(F9, C.G)  # min_distance caches its facts
+        whole = fresh.min_distance(enum_cap=1, work_budget=budget)
+        out, allf = relative_distance(C, zero, enum_cap=1, work_budget=budget)
+        assert whole.method == "information_sets"
+        for fact in (out, allf):
+            assert (fact.value, fact.certainty, fact.method, fact.witness, fact.upper) == (
+                whole.value, whole.certainty, whole.method, whole.witness, whole.upper
+            )
+    assert whole.certainty == "lower_bound"
 
 
 def test_min_weight_outside_against_oracle():

@@ -38,10 +38,6 @@ class Writer:
             body = "  ".join(f"{k}={v}" for k, v in kv.items())
             print(f"{_tag:12s} {body}".rstrip(), file=self.stream)
 
-    def text(self, s):
-        if self.fmt == "text":
-            print(s, file=self.stream)
-
 
 def _load_code(path) -> LinearCode:
     return LinearCode.from_text(Path(path).read_text())
@@ -329,17 +325,21 @@ def rule_ids(text: str) -> frozenset:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
-    common.add_argument("--budget", type=non_negative_int, default=10**4, help="trial/work budget")
-    common.add_argument(
+    common.add_argument("--format", choices=("text", "machine"), default="text")
+    # each command takes only the options it reads
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--budget", type=non_negative_int, default=10**4, help="trial/work budget")
+    enum_cap = argparse.ArgumentParser(add_help=False)
+    enum_cap.add_argument(
         "--enum-cap", type=non_negative_int, default=10**8, help="max q^k for full enumeration"
     )
-    common.add_argument("--format", choices=("text", "machine"), default="text")
 
     p = argparse.ArgumentParser(prog="eaqecc", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("construct", parents=[common], help="derive quantum parameters")
+    sp = sub.add_parser("construct", parents=[common, enum_cap], help="derive quantum parameters")
     sp.add_argument("--route", choices=("hermitian", "css"), default="hermitian")
     sp.add_argument("code")
     sp.add_argument("code2", nargs="?")
@@ -359,13 +359,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_hull)
 
-    sp = sub.add_parser("distance", parents=[common], help="minimum distance facts")
+    sp = sub.add_parser("distance", parents=[common, budget, enum_cap],
+                        help="minimum distance facts")
     sp.add_argument("code")
     sp.add_argument("--outside", help="subcode file: weight outside this subcode")
     sp.add_argument("--target", type=positive_int, help="stop once this lower bound is certified")
     sp.set_defaults(func=cmd_distance)
 
-    sp = sub.add_parser("propagate", parents=[common], help="apply a propagation rule")
+    sp = sub.add_parser("propagate", parents=[common, seed, budget, enum_cap],
+                        help="apply a propagation rule")
     sp.add_argument("--rule", required=True, choices=PROPAGATE_RULES)
     sp.add_argument("code")
     sp.add_argument("--ell", type=non_negative_int)
@@ -383,14 +385,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--record", required=True, help="input record line 'q n kappa delta c ...'")
     sp.set_defaults(func=cmd_simple_rule)
 
-    sp = sub.add_parser("min-ent", parents=[common], help="minimum-entanglement diagonal search")
+    sp = sub.add_parser("min-ent", parents=[common, seed, budget],
+                        help="minimum-entanglement diagonal search")
     sp.add_argument("code")
     sp.add_argument("--mode", choices=("exhaustive", "randomized"), default="exhaustive")
     sp.add_argument("--cap", type=non_negative_int, default=propagate.DEFAULT_SPACE_CAP)
     sp.add_argument("--out-step")
     sp.set_defaults(func=cmd_min_ent)
 
-    sp = sub.add_parser("puncture-space", parents=[common],
+    sp = sub.add_parser("puncture-space", parents=[common, seed, budget],
                         help="diagonal self-orthogonality equivalence system")
     sp.add_argument("code")
     sp.add_argument("--out")

@@ -283,6 +283,13 @@ class FieldSpec:
         self._require_square()
         return int(self.CONJ[a]) == a
 
+    def subfield_nonzero_elements(self) -> list:
+        """The nonzero a of the base subfield GF(q), those with a^q == a, ascending.
+
+        They are 1..p-1 only when q = p; in GF(16), GF(4) is {0, 1, 6, 7}.
+        """
+        return [a for a in self.nonzero_elements() if self.in_base_subfield(a)]
+
     def base_subfield(self) -> "FieldSpec":
         """The subfield GF(q) inside GF(q^2).
 

@@ -3,7 +3,12 @@
 Classical layer: equivalence transforms that move the Hermitian hull
 dimension down (column scaling) or up (length extensions), a search for
 the diagonal equivalence minimizing the ebit count, and the solution
-space of the self-orthogonality-equivalence system.
+space of the self-orthogonality-equivalence system.  A column raises the
+hull by one exactly when the congruence D with D G G^dagger D^dagger =
+Diag(I_s, 0) sends it to (y, 0) with sum_i N(y_i) = -1.  The column
+extension takes its default and sampled columns from such congruences,
+screens every column class by that test when it searches them all, and
+builds codes only for the columns it scores.
 
 Quantum layer: the three entanglement rules (more / same / less) that
 lift those transforms through the Hermitian construction, plus the
@@ -113,91 +118,70 @@ def extend_with_column(C: LinearCode, column) -> LinearCode:
     return out
 
 
-def extend_column(
-    C: LinearCode,
-    column=None,
-    position: int = 0,
-    alpha: int | None = None,
-    rng=None,
-) -> LinearCode:
-    """[n+1, k, d'] code with hull dimension ell+1, d <= d' <= d+1.
+def extend_column(C: LinearCode, column=None, search: bool = False, seed: int = 0) -> LinearCode:
+    """[n+1, k, d'] code with hull dimension ell+1, d <= d' <= d+1 (see extend_column_step)."""
+    return extend_column_step(C, column=column, search=search, seed=seed).certificate["output"]
 
-    Default construction: congruence-diagonalize the Gram matrix G
-    G^dagger, append the column alpha * e_position (alpha of norm -1) to
-    the transformed generator, and read the code off that basis.  A
-    caller-supplied column is appended verbatim instead and checked
-    against the hull contract.
+
+def _sampled_columns(C: LinearCode, seed: int):
+    """D^-1 (alpha e_position) over congruences D, positions < s and alpha of norm -1.
+
+    D G G^dagger D^dagger = Diag(I_s, 0), so [D G | alpha e_position]
+    raises the hull by one and spans the same code as [G | D^-1 alpha
+    e_position].  The first pass over (position, alpha) uses the unsampled
+    D; each later candidate draws its own random congruence from the seed.
     """
-    return _extend_column_with_cert(C, column, position, alpha, rng)[0]
+    field, gram = C.field, C.gram_hermitian()
+    alphas = [a for a in field.elements() if field.norm(a) == field.neg(1)]
+    rng = np.random.default_rng(seed)
+    for g in [None] + [rng] * (COLUMN_GRAM_SAMPLES - 1):
+        for position in range(C.k - C.hull_dim):
+            for alpha in alphas:
+                D, _ = hermitian_congruence_diagonalize(gram, rng=g)
+                yield field.MUL[alpha, D.inverse().array[:, position]]
 
 
-def _extend_column_with_cert(C, column, position, alpha, rng):
-    """(extended code, appended column expressed in the original basis)."""
-    if column is None:
-        field = C.field
-        s = C.k - _check_extend_precondition(C)
-        D, rank = hermitian_congruence_diagonalize(C.gram_hermitian(), rng=rng)
-        if rank != s:
-            raise EaqeccError(f"Gram matrix has rank {rank}, expected k - hull dim = {s}")
-        if not 0 <= position < s:
-            raise PreconditionError(f"column position must lie in [0, {s})")
-        if alpha is None:
-            alpha = field.solve_norm(field.neg(1))
-        elif field.norm(alpha) != field.neg(1):
-            raise PreconditionError("alpha must have norm -1")
-        col = np.zeros((C.k, 1), dtype=np.uint8)
-        col[position, 0] = alpha
-        # [D G | col] and [G | D^{-1} col] span the same code
-        column = gf_matmul(D.inverse().array, col, field)[:, 0]
-    column = np.asarray(column, dtype=np.uint8)
-    return extend_with_column(C, column), column
+def _class_columns(C: LinearCode, norm_reps):
+    """Every hull-raising column: one per scalar class and norm representative.
 
-
-def extend_column_search(C: LinearCode, seed: int = 0) -> LinearCode:
-    """Best extension by minimum distance over the available choices.
-
-    While the column space has at most COLUMN_CLASS_CAP classes, every
-    hull-raising column is tried (one representative per scalar class,
-    lexicographic order, so the result is deterministic and the search
-    is complete).  Larger codes fall back to scanning positions, alpha
-    values, and a seeded sample of COLUMN_GRAM_SAMPLES congruence
-    transforms.  A candidate's distance need only show whether it beats
-    the best so far (`min_distance`'s target).
+    Appending x adds x x^dagger to G G^dagger.  With D G G^dagger D^dagger
+    = Diag(I_s, 0) and y = D x that is Diag(I_s, 0) + y y^dagger, whose
+    rank is s - 1 exactly when y vanishes past its first s entries and
+    their norms sum to -1.  Classes come in span-walk order, each scaled
+    by the representatives in turn.
     """
-    return _extend_column_search_with_cert(C, seed)[0]
+    field, k = C.field, C.k
+    D, s = hermitian_congruence_diagonalize(C.gram_hermitian())
+    reps = np.array(norm_reps, dtype=np.uint8)[None, :, None]
+    for _, classes in dist.span_values(field, np.eye(k, dtype=np.uint8)):
+        X = field.MUL[reps, classes[:, None, :]].reshape(-1, k)
+        Y = gf_matmul(X, D.array.T, field)
+        ok = ~Y[:, s:].any(axis=1) & (hermitian_self_product(field, Y[:, :s]) == field.neg(1))
+        yield from X[ok]
 
 
-def _extend_column_search_with_cert(C, seed):
+def _best_column(C: LinearCode, seed: int):
+    """First hull-raising column whose extension has the greatest distance.
+
+    While the columns form at most COLUMN_CLASS_CAP classes (times norm
+    representatives) all of them are tried, so the search is complete;
+    beyond that the sampled columns are.  A candidate's distance need only
+    show whether it beats the best so far (`min_distance`'s target).
+    """
     field = C.field
-    ell = _check_extend_precondition(C)
-    s = C.k - ell
     d0 = C.min_distance(enum_cap=MORE_ENT_VERIFY_CAP, work_budget=CONSTRUCT_WORK_BUDGET)
     # scaling the new column by lambda multiplies its Gram contribution by
     # norm(lambda): distance is scale-invariant but the hull is not, so scan
     # one representative per norm value on top of each scalar class
-    norm_reps = [field.solve_norm(t) for t in range(1, field.subfield_order)]
+    norm_reps = [field.solve_norm(t) for t in field.subfield_nonzero_elements()]
     classes = (field.order**C.k - 1) // (field.order - 1) * len(norm_reps)
-
-    def candidates():
-        if classes <= COLUMN_CLASS_CAP:
-            for _, cols in dist.span_values(field, np.eye(C.k, dtype=np.uint8)):
-                for col in (field.MUL[mu, base] for base in cols for mu in norm_reps):
-                    try:
-                        cand = extend_with_column(C, col)
-                    except PreconditionError:
-                        continue
-                    yield cand, col
-            return
-        alphas = [a for a in field.elements() if field.norm(a) == field.neg(1)]
-        rng = np.random.default_rng(seed)
-        for g in [None] + [rng] * (COLUMN_GRAM_SAMPLES - 1):
-            for position in range(s):
-                for alpha in alphas:
-                    yield _extend_column_with_cert(C, None, position, alpha, g)
-
+    if classes <= COLUMN_CLASS_CAP:
+        columns = _class_columns(C, norm_reps)
+    else:
+        columns = _sampled_columns(C, seed)
     best = None
-    for cand, col in candidates():
-        fact = cand.min_distance(
+    for col in columns:
+        fact = extend_with_column(C, col).min_distance(
             enum_cap=MORE_ENT_VERIFY_CAP, work_budget=CONSTRUCT_WORK_BUDGET,
             target=(d0.value if best is None else best[0]) + 1,
         )
@@ -205,12 +189,12 @@ def _extend_column_search_with_cert(C, seed):
         if d0.exact and fact.exact and not d0.value <= d2 <= d0.value + 1:
             raise EaqeccError(f"column extension changed distance {d0.value} to {d2}")
         if best is None or d2 > best[0]:
-            best = (d2, cand, col)
+            best = (d2, col)
         if d2 == d0.value + 1:
             break
     if best is None:
         raise RuleNotApplicableError("no hull-raising column exists")
-    return best[1], best[2]
+    return best[1]
 
 
 def extend_row_column(C: LinearCode, word) -> LinearCode:
@@ -241,12 +225,10 @@ def extend_row_column(C: LinearCode, word) -> LinearCode:
     return out
 
 
-def hermitian_self_product(field, w) -> int:
-    """w . w^dagger = sum of the coordinate norms; lands in GF(q)."""
-    acc = 0
-    for v in w:
-        acc = field.add(acc, field.norm(int(v)))
-    return acc
+def hermitian_self_product(field, w):
+    """w . w^dagger along the last axis: the sum of the coordinate norms, in GF(q)."""
+    digits = field.DIGITS[field.NORM[np.asarray(w)]].sum(axis=-2, dtype=np.int64) % field.p
+    return digits @ field.p ** np.arange(field.s)
 
 
 # --------------------------------------------------------------------------
@@ -284,7 +266,7 @@ def min_entanglement_search(
     """
     field = C.field
     field._require_square()
-    nonzero = list(range(1, field.subfield_order))
+    nonzero = field.subfield_nonzero_elements()
     if mode == "exhaustive":
         total = len(nonzero) ** C.n
         if total > cap:
@@ -398,20 +380,21 @@ def hull_reduce_step(C: LinearCode, ell_target: int) -> PropagationStep:
 
 
 def extend_column_step(
-    C: LinearCode,
-    column=None,
-    position: int = 0,
-    alpha=None,
-    rng=None,
-    search: bool = False,
-    seed: int = 0,
+    C: LinearCode, column=None, search: bool = False, seed: int = 0
 ) -> PropagationStep:
-    """An explicit column wins over `search`; neither gives the default extension."""
-    if search and column is None:
-        out, col = _extend_column_search_with_cert(C, seed)
-    else:
-        out, col = _extend_column_with_cert(C, column, position, alpha, rng)
-    cert = {"input": C, "column": tuple(int(v) for v in col), "output": out}
+    """Append one column that raises the hull dimension by one.
+
+    An explicit column is appended verbatim (it wins over `search`) and
+    checked against that contract.  Otherwise `search` takes the column of
+    greatest distance (`_best_column`) and the default takes the first
+    sampled column: alpha e_0 under the unsampled congruence, alpha the
+    smallest element of norm -1.
+    """
+    if column is None:
+        _check_extend_precondition(C)
+        column = _best_column(C, seed) if search else next(_sampled_columns(C, seed))
+    out = extend_with_column(C, column)
+    cert = {"input": C, "column": tuple(int(v) for v in column), "output": out}
     return PropagationStep("extend_column", None, None, cert)
 
 

@@ -308,6 +308,10 @@ def test_cli_error_paths(tmp_path):
         ["distance", "--target", "-1", g16],
         ["propagate", "--rule", "hull-reduce", "--ell", "-1", g16],
         ["propagate", "--rule", "more-ent", "--i", "0", g16],
+        # options go only to the commands that read them
+        ["table", "query", "--bundled", "qubit", "--seed", "3"],
+        ["construct", "--budget", "5", g16],
+        ["verify-paper", "--enum-cap", "1"],
     ):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)

@@ -1,9 +1,12 @@
 import dataclasses
+import functools
 import itertools
+import pathlib
 
 import numpy as np
 import pytest
 
+import eaqecc
 from eaqecc import propagate as prop
 from eaqecc.codes import LinearCode, random_code
 from eaqecc.construct import hermitian_construct
@@ -17,9 +20,10 @@ from eaqecc.fields import GF
 from eaqecc.matrix import MatrixFq
 from eaqecc.tables import CodeRecord
 from helpers import qualifying_word
-from oracles import brute_encode, brute_min_distance
+from oracles import brute_encode, brute_matmul, brute_min_distance, scalar_class_messages
 
 F3, F4, F9 = GF(3), GF(4), GF(9)
+DATA = pathlib.Path(eaqecc.__file__).parent / "data" / "paper"
 
 
 def lcd_54():
@@ -100,18 +104,12 @@ def test_extend_column_rejects_bad_explicit_column():
         prop.extend_column(C, column=[1, 2])
 
 
-def test_extend_column_alpha_validation():
-    C = lcd_54()
-    with pytest.raises(PreconditionError):
-        prop.extend_column(C, alpha=1)  # norm(1) = 1 != -1
-
-
 def test_extend_column_search_reaches_printed_gain():
     C = lcd_54()
-    best = prop.extend_column_search(C, seed=0)
+    best = prop.extend_column(C, search=True, seed=0)
     assert best.min_distance().value == 3  # d + 1
     assert best.hull_dim == 1
-    again = prop.extend_column_search(C, seed=0)
+    again = prop.extend_column(C, search=True, seed=0)
     assert again == best  # deterministic
 
 
@@ -121,7 +119,81 @@ def test_extend_column_search_never_loses_distance():
         if not C.hull_dim < min(C.k, C.n - C.k):
             continue
         d = C.min_distance().value
-        assert prop.extend_column_search(C).min_distance().value >= d
+        assert prop.extend_column(C, search=True, seed=0).min_distance().value >= d
+
+
+def test_congruence_columns_are_the_hull_raising_columns():
+    """The congruence test keeps exactly the class x norm-representative
+    columns that extend_with_column's hull check accepts, in walk order."""
+    rng = np.random.default_rng(68)
+    checked = 0
+    for q, n, k in [(4, 7, 4), (4, 8, 3), (9, 6, 3), (9, 7, 2), (16, 6, 2), (16, 7, 3), (25, 5, 2)]:
+        F = GF(q)
+        reps = [F.solve_norm(t) for t in F.subfield_nonzero_elements()]
+        C = random_code(F, n, k, rng)
+        while C.hull_dim < min(C.k, C.n - C.k):
+            brute = []
+            for msg in scalar_class_messages(q, k):
+                for mu in reps:
+                    col = tuple(F.mul(mu, v) for v in msg)
+                    try:
+                        prop.extend_with_column(C, col)
+                    except PreconditionError:
+                        continue
+                    brute.append(col)
+            assert brute
+            assert [tuple(int(v) for v in x) for x in prop._class_columns(C, reps)] == brute
+            checked += 1
+            C = prop.extend_column(C)
+        words = np.random.default_rng(q).integers(0, q, size=(20, n))
+        loop = [functools.reduce(F.add, (F.norm(int(v)) for v in w), 0) for w in words]
+        assert prop.hermitian_self_product(F, words).tolist() == loop
+    assert checked >= 10
+
+
+# (q, n, k, default column, searched column) of seeded codes, as the
+# per-candidate hull search chose them
+PINNED_EXTENSIONS = [
+    (4, 7, 3, (1, 0, 1), (1, 0, 1)),
+    (4, 8, 4, (1, 0, 2, 1), (1, 0, 0, 2)),
+    (4, 9, 4, (1, 0, 3, 3), (1, 0, 3, 3)),
+    (9, 6, 2, (3, 6), (3, 6)),
+    (9, 7, 3, (1, 3, 7), (3, 0, 4)),
+    (9, 8, 3, (1, 4, 3), (1, 4, 3)),
+]
+
+
+def test_extend_column_pinned_columns():
+    def columns(C):
+        return tuple(prop.extend_column_step(C, search=search).certificate["column"]
+                     for search in (False, True))
+
+    rng = np.random.default_rng(91)
+    for q, n, k, default, searched in PINNED_EXTENSIONS:
+        C = random_code(GF(q), n, k, rng)
+        while not C.hull_dim < min(C.k, C.n - C.k):
+            C = random_code(GF(q), n, k, rng)
+        assert columns(C) == (default, searched)
+    # the dual of the benchmark's [[10,2,5;6]]_2 ingredient (exhaustive search)
+    rows = ["1000000130", "0100000220", "0010000113", "0001000010",
+            "0000100012", "0000010311", "0000001321"]
+    C = LinearCode(F4, np.array([[int(ch) for ch in r] for r in rows], dtype=np.uint8))
+    assert columns(C.hermitian_dual()) == ((1, 0, 0), (0, 0, 1))
+    # the dual of the paper's [16,5]_9 code has 9^11 columns: sampled search
+    E = LinearCode.from_text((DATA / "g16_5_9.txt").read_text()).hermitian_dual()
+    col = (3, 8, 2, 1, 4, 4, 2, 0, 0, 4, 1)
+    assert columns(E) == (col, col)
+
+
+def test_extend_column_search_over_gf16():
+    """GF(16)'s base subfield GF(4) is {0, 1, 6, 7}, not {0, 1, 2, 3}."""
+    F16 = GF(16)
+    rng = np.random.default_rng(69)
+    C = random_code(F16, 6, 2, rng)
+    while not C.hull_dim < min(C.k, C.n - C.k):
+        C = random_code(F16, 6, 2, rng)
+    C2 = prop.extend_column(C, search=True)
+    assert (C2.n, C2.k, C2.hull_dim) == (7, 2, C.hull_dim + 1)
 
 
 # -- row+column extension ------------------------------------------------------------
@@ -295,6 +367,23 @@ def test_min_entanglement_bounds_and_permutation_invariance():
         perm = list(rng.permutation(6))
         res2 = prop.min_entanglement_search(C.permute_columns(perm))
         assert res2.c_min == res.c_min
+
+
+def test_min_entanglement_diagonals_lie_in_the_base_subfield():
+    F16 = GF(16)
+    C = random_code(F16, 5, 2, np.random.default_rng(1))
+    res = prop.min_entanglement_search(C)
+    units = F16.subfield_nonzero_elements()
+    assert units == [1, 6, 7]
+    assert set(res.diagonal) <= set(units)
+    brute = min(
+        MatrixFq(F16, brute_matmul(
+            F16, [[F16.mul(g, b) for g, b in zip(row, diag)] for row in C.G.array],
+            [[F16.conj(int(v)) for v in row] for row in C.G.array.T],
+        )).rank()
+        for diag in itertools.product(units, repeat=C.n)
+    )
+    assert res.c_min == brute
 
 
 def test_min_entanglement_modes_and_caps():

@@ -16,16 +16,18 @@ Two walks cover every search, both built by one expansion step
 Inside this module codewords are held as planes, batch axis last, and
 the layout depends on the characteristic p alone:
 
-* p = 2 and p = 3 (`_BitPlanes`): packed uint64 bit planes, 64 symbols
-  per word.  Addition is XOR for p = 2 and six bitwise operations on
-  one-hot trits for p = 3; a distance is a popcount of the OR of the
-  planes' XORs.
+* p = 2 and p = 3 (`_BitPlanes`): packed bit planes in the narrowest
+  unsigned word that holds a whole word (8, 16 or 32 symbols), or in
+  uint64 words, 64 symbols each, past 32.  Addition is XOR for p = 2
+  and six bitwise operations on one-hot trits for p = 3; a distance is
+  a popcount of the OR of the planes' XORs.
 * p >= 5 (`_DigitPlanes`): one uint8 plane per base-p digit, added
   modulo p.
 
-Both walks weigh a block of sums X + y as the distances from X to -y,
-so their heaviest step never forms the sums.  Planes unpack to field
-values only for witnesses and for `span_values`.
+Both walks split a block of words into two halves, X and Y, and weigh
+the sum set Y + X as the distances from X to -Y, so their heaviest step
+never forms the sums.  Planes unpack to field values only for
+witnesses and for `span_values`.
 """
 
 from __future__ import annotations
@@ -81,20 +83,27 @@ class DistanceFact:
 
 
 class _BitPlanes:
-    """Words of length m over GF(p^s), p in {2, 3}, as packed uint64 bit planes.
+    """Words of length m over GF(p^s), p in {2, 3}, as packed bit planes.
 
     Shape (P, W, *batch), batch last so that each plane op runs over
-    contiguous words; W = ceil(m / 64) and bit i of word j is symbol
-    64 j + i.  For p = 2 plane t holds digit t of each symbol (P = s)
-    and field addition is XOR.  For p = 3 planes t and s + t flag digit
-    t equal to 1 and to 2 (P = 2 s), a one-hot trit added in six
-    bitwise operations.  Either way a symbol is nonzero, or two symbols
-    differ, exactly when some plane has (or differs in) that bit.
+    contiguous words.  A plane word is the narrowest unsigned integer
+    that holds m bits (uint8, uint16 or uint32), or uint64 past 32
+    bits; W = max(1, ceil(m / bits)) and bit i of word j is symbol
+    bits * j + i.  For p = 2 plane t holds digit t of each symbol
+    (P = s) and field addition is XOR.  For p = 3 planes t and s + t
+    flag digit t equal to 1 and to 2 (P = 2 s), a one-hot trit added in
+    six bitwise operations.  Either way a symbol is nonzero, or two
+    symbols differ, exactly when some plane has (or differs in) that
+    bit.
     """
 
     def __init__(self, field: FieldSpec, m: int):
         self.field, self.m = field, m
-        self.words = -(-m // 64)
+        self.bits = next(b for b in (8, 16, 32, 64) if m <= b or b == 64)
+        # distance starts from word 0, so m = 0 keeps one all-zero word
+        self.words = max(1, -(-m // self.bits))
+        self.dtype = np.dtype(f"u{self.bits // 8}")
+        self.packed = self.dtype.newbyteorder("<")  # byte order of packbits' output
         p, s = field.p, field.s
         # what a set bit of each plane adds to its symbol's value
         self.plane_values = [v * p**t for v in range(1, p) for t in range(s)]
@@ -104,9 +113,12 @@ class _BitPlanes:
         batch, P, N = vals.shape[:-1], len(self.plane_values), math.prod(vals.shape[:-1])
         digits = self.field.DIGITS[vals.reshape(N, self.m)].transpose(2, 0, 1)  # (s, N, m)
         onehot = digits == np.arange(1, self.field.p).reshape(-1, 1, 1, 1)  # (p-1, s, N, m)
-        bits = np.zeros((P, N, 64 * self.words), dtype=bool)
+        bits = np.zeros((P, N, self.bits * self.words), dtype=bool)
         bits[..., : self.m] = onehot.reshape(P, N, self.m)
-        packed = np.packbits(bits, axis=-1, bitorder="little").view("<u8").astype(np.uint64)
+        # each row is whole bytes, so packing the flat array packs every
+        # row, far faster than packbits along a short axis
+        packed = np.packbits(bits.reshape(-1), bitorder="little").view(self.packed)
+        packed = packed.astype(self.dtype).reshape(P, N, self.words)
         return np.ascontiguousarray(packed.transpose(0, 2, 1)).reshape((P, self.words) + batch)
 
     def add(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -114,8 +126,14 @@ class _BitPlanes:
             return A ^ B
         h = len(A) // 2
         a1, a2, b1, b2 = A[:h], A[h:], B[:h], B[h:]
-        t = (a1 | b2) ^ (a2 | b1)
-        return np.concatenate(((a2 | b2) ^ t, (a1 | b1) ^ t))
+        t = a1 | b2
+        t ^= a2 | b1
+        # both halves are written in place and take t in one call
+        out = np.empty((2,) + t.shape, dtype=t.dtype)
+        np.bitwise_or(a2, b2, out=out[0])
+        np.bitwise_or(a1, b1, out=out[1])
+        out ^= t
+        return out.reshape((2 * h,) + t.shape[1:])
 
     def neg(self, X: np.ndarray) -> np.ndarray:
         if self.field.p == 2:
@@ -129,15 +147,23 @@ class _BitPlanes:
         acc = A[0] ^ B[0]
         for a, b in zip(A[1:], B[1:]):
             acc |= a ^ b
-        return np.bitwise_count(acc).sum(axis=0, dtype=np.intp)
+        # summed word by word: a reduction over W costs more than W adds
+        counts = np.bitwise_count(acc)
+        out = counts[0].astype(np.intp)
+        for c in counts[1:]:
+            out += c
+        return out
 
     def values(self, X: np.ndarray) -> np.ndarray:
         """(P, W, *batch) planes -> (*batch, m) field values."""
         out = 0
         for plane, v in zip(X, self.plane_values):
-            raw = np.ascontiguousarray(np.moveaxis(plane, 0, -1), dtype="<u8").view(np.uint8)
-            out = out + v * np.unpackbits(raw, axis=-1, count=self.m, bitorder="little")
-        return out
+            raw = np.ascontiguousarray(np.moveaxis(plane, 0, -1), dtype=self.packed).view(np.uint8)
+            # unpacked flat, as encode packs
+            bits = np.unpackbits(raw.reshape(-1), bitorder="little")
+            bits = bits.reshape(raw.shape[:-1] + (8 * raw.shape[-1],))
+            out = out + v * bits
+        return np.ascontiguousarray(out[..., : self.m])
 
 
 class _DigitPlanes:
@@ -220,7 +246,8 @@ def span_weight_scan(
     The scan is one fold over span_blocks with the subcode rows moved
     last, so a word lies outside the subcode exactly when its lead row
     does; each witness is the first lightest word in that walk.
-    Raises BudgetError when q^k exceeds the cap.
+    Raises BudgetError when q^k exceeds the cap, and EaqeccError when a
+    witness does not have the weight the scan measured for it.
     """
     k, n = rows.shape
     q = field.order
@@ -232,20 +259,24 @@ def span_weight_scan(
     planes = _planes(field, n)
     best = {}  # "all", and "out" with a subcode: (weight, witness planes)
     scanned = 0
-    for lead, T, shift in span_blocks(field, rows[order]):
-        # T + shift weighs as much as T differs from -shift
-        wts = planes.distance(T, planes.neg(shift)[..., None])
-        i = int(np.argmin(wts))
+    for lead, X, Y in span_blocks(field, rows[order]):
+        # Y[i] + X[j] weighs as much as X[j] differs from -Y[i]
+        wts = planes.distance(X[..., None, :], planes.neg(Y)[..., :, None]).ravel()
+        t = int(np.argmin(wts))
+        i, j = divmod(t, X.shape[-1])
         for key in ("all", "out") if sub_rows and lead < k - sub_rows else ("all",):
-            if key not in best or wts[i] < best[key][0]:
-                best[key] = int(wts[i]), planes.add(T[..., i : i + 1], shift[..., None])
+            if key not in best or wts[t] < best[key][0]:
+                best[key] = int(wts[t]), planes.add(Y[..., i : i + 1], X[..., j : j + 1])
         scanned += len(wts)
 
     def unpack(key):
         if key not in best:
             return None, None
         w, word = best[key]
-        return w, tuple(int(v) for v in planes.values(word)[0])
+        witness = tuple(int(v) for v in planes.values(word)[0])
+        if sum(1 for v in witness if v) != w:
+            raise EaqeccError(f"span word does not have weight {w}")
+        return w, witness
 
     w_all, wit_all = unpack("all")
     w_out, wit_out = unpack("out") if sub_rows else (w_all, wit_all)
@@ -261,38 +292,51 @@ def _block_split(q: int, count: int):
 
 
 def span_blocks(field: FieldSpec, rows: np.ndarray):
-    """Yield (lead, T, shift) over span(rows), one word per scalar class.
+    """Yield (lead, X, Y) over span(rows), one word per scalar class.
 
-    The block's words are T[..., j] + shift in the plane layout
-    `_planes(field, n)`: T holds B words, batch axis last, and shift is
-    one word.  Each word is rows[lead] + sum_{r > lead} c_r rows[r];
-    leads ascend and, within a lead, the tails (c_{lead+1}, ...,
-    c_{k-1}) come in lexicographic order.
+    The block's words are Y[..., i] + X[..., j], i varying slowest, in
+    the plane layout `_planes(field, n)`; X and Y hold words batch axis
+    last.  Each word is rows[lead] + sum_{r > lead} c_r rows[r]; leads
+    ascend and, within a lead, the tails (c_{lead+1}, ..., c_{k-1})
+    come in lexicographic order.
     """
     k, n = rows.shape
     q = field.order
     planes = _planes(field, n)
     mults = _multiples(planes, rows)
-    # the span of the trailing rows in lexicographic order; the span of
-    # the last b of them is its first q^b words
-    T = planes.encode(np.zeros((1, n), dtype=np.uint8))
-    for r in range(k - 1, k - 1 - _block_split(q, k - 1), -1):
-        T = _prepend(planes, mults[..., r, :], T)
+    zero = planes.encode(np.zeros((1, n), dtype=np.uint8))
+
+    def span(rs):
+        # the span of rows rs, in lexicographic order of their coefficients
+        S = zero
+        for r in reversed(rs):
+            S = _prepend(planes, mults[..., r, :], S)
+        return S
+
+    # a block expands the last b rows: X spans the last b - y of them,
+    # and Y is the shift plus the span of the other y.  The widest
+    # block's B rows give X x = ceil(B/2) of them, and a narrower block
+    # keeps up to x rows in X.  The span of the last rows of either set
+    # is a prefix of the widest one, so both spans are built once
+    B = _block_split(q, k - 1)
+    x = (B + 1) // 2
+    X, Z = span(range(k - x, k)), span(range(k - B, k - x))
     for lead in range(k):
         b = _block_split(q, k - lead - 1)
+        y = max(0, b - x)
         prefix = range(lead + 1, k - b)
         for combo in itertools.product(range(q), repeat=len(prefix)):
-            pw = mults[..., lead, 1]
+            pw = mults[..., lead, 1, None]
             for r, cf in zip(prefix, combo):
-                pw = planes.add(pw, mults[..., r, cf])
-            yield lead, T[..., : q**b], pw
+                pw = planes.add(pw, mults[..., r, cf, None])
+            yield lead, X[..., : q ** (b - y)], planes.add(Z[..., : q**y], pw) if y else pw
 
 
 def span_values(field: FieldSpec, rows: np.ndarray):
     """span_blocks with each block as (B, n) encoded field elements."""
     planes = _planes(field, rows.shape[1])
-    for lead, T, shift in span_blocks(field, rows):
-        yield lead, planes.values(planes.add(T, shift[..., None]))
+    for lead, X, Y in span_blocks(field, rows):
+        yield lead, planes.values(_prepend(planes, Y, X))
 
 
 # --------------------------------------------------------------------------
@@ -441,19 +485,23 @@ def _bz_weight_pass(state: _ISState, form: _SystematicForm, w: int):
     supports = itertools.chain.from_iterable(itertools.combinations(range(k), w))
     batch = max(1, _BATCH_WORDS // leaf) * w
     index = np.min_scalar_type(k)  # small support arrays keep peak memory flat
+    h = (w - 1) // 2
     while True:
         S = np.fromiter(itertools.islice(supports, batch), dtype=index).reshape(-1, w)
         if not len(S):
             return
-        # level 0 takes coefficient 1 only, and X starts from that word (the
-        # zero word when level 0 is the last); the last level is never
-        # built: X + c row weighs as much as X differs from -c row
-        X = mults[..., S[:, 0], int(w > 1), None]
-        for level in range(w - 2, 0, -1):
+        # level 0 takes coefficient 1 only.  X holds it plus levels 1..h,
+        # Y the negated levels h+1..w-1 (the zero word when level 0 is the
+        # last), and a message weighs as much as its X word differs from
+        # its Y word: the sums are never built
+        X = mults[..., S[:, 0], 1, None]
+        for level in range(h, 0, -1):
             X = _prepend(planes, mults[..., S[:, level], 1:], X)
-        last = mults[..., S[:, -1, None], field.NEG[1 : (2 if w == 1 else q)]]
-        wts = planes.distance(X[..., None, :], last[..., :, None])
-        state.offer_leaves(form, S, w + wts.transpose(0, 2, 1).reshape(len(S), -1))
+        Y = mults[..., S[:, -1, None], field.NEG[1:q] if w > 1 else [0]]
+        for level in range(w - 2, h, -1):
+            Y = _prepend(planes, mults[..., S[:, level, None], field.NEG[1:q]], Y)
+        wts = planes.distance(X[..., :, None], Y[..., None, :])
+        state.offer_leaves(form, S, w + wts.reshape(len(S), -1))
 
 
 @dataclass

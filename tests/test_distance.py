@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
+from eaqecc import tables
 from eaqecc.codes import LinearCode, random_code, relative_distance
 from eaqecc.distance import (
     DistanceFact,
+    _BitPlanes,
+    _planes,
     information_set_bounds,
     span_values,
     span_weight_scan,
 )
-from eaqecc.errors import BudgetError
+from eaqecc.errors import BudgetError, EaqeccError
 from eaqecc.fields import GF
 from eaqecc.matrix import MatrixFq
 from oracles import (
@@ -16,6 +19,7 @@ from oracles import (
     brute_min_distance,
     brute_min_outside,
     scalar_class_messages,
+    weight,
 )
 
 F2, F3, F4, F9 = GF(2), GF(3), GF(4), GF(9)
@@ -43,13 +47,18 @@ def test_span_walk_matches_oracle_order():
 
 
 def test_span_walk_order_across_blocks():
-    # on the identity the words are the messages themselves; these sizes
-    # split the first leads into several tensor blocks
-    for q, k in ((2, 18), (3, 12), (5, 8)):
+    # on the identity the words are the messages themselves.  count is
+    # the number of tensor blocks, above k where a lead's free rows span
+    # several blocks.  The widest block expands 8 rows for (4, 9), an
+    # even split into sum-set halves, and 5 rows over GF(9), an odd one;
+    # k = 6 and 7 are the hottest GF(9) scans of the constructions and
+    # propagation rules
+    cases = ((2, 18, 19), (3, 12, 14), (5, 8, 12), (4, 9, 9), (9, 6, 6), (9, 7, 15))
+    for q, k, count in cases:
         blocks = list(span_values(GF(q), np.eye(k, dtype=np.uint8)))
         want = np.array(list(scalar_class_messages(q, k)), dtype=np.uint8)
         leads = np.concatenate([np.full(len(ws), lead) for lead, ws in blocks])
-        assert len(blocks) > k
+        assert len(blocks) == count, (q, k)
         assert np.array_equal(np.concatenate([ws for _, ws in blocks]), want)
         assert np.array_equal(leads, (want != 0).argmax(axis=1))
 
@@ -83,6 +92,45 @@ def test_span_scan_relative_matches_oracle():
             )
             assert scan.outside_min == want
             assert scan.min_weight == brute_min_distance(field, C.G.array)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4, F9], ids=lambda f: f"GF{f.order}")
+def test_bit_plane_word_boundaries(field):
+    # m bits fill a uint8, uint16, uint32 or uint64 word, or spill into
+    # a second word of the next width
+    rng = np.random.default_rng(52)
+    q, k = field.order, 4 if field is F2 else 3
+    for m in (8, 9, 16, 17, 32, 33, 64, 65):
+        planes = _planes(field, m)
+        x = rng.integers(0, q, size=(3, 5, m), dtype=np.uint8)
+        assert np.array_equal(planes.values(planes.encode(x)), x), m
+        rows = random_code(field, m, k, rng).G.array
+        scan = span_weight_scan(field, rows)
+        words = [brute_encode(field, msg, rows) for msg in scalar_class_messages(q, k)]
+        lightest = min(words, key=weight)  # the first lightest word in walk order
+        assert (scan.min_weight, scan.witness) == (weight(lightest), lightest), m
+        # n - k = m columns outside each information set
+        C = random_code(field, m + k, k, rng)
+        res = information_set_bounds(field, C.G.array)
+        want = span_weight_scan(field, C.G.array).min_weight
+        assert res.fact.exact and res.fact.value == want, m
+        assert weight(res.fact.witness) == want
+        assert C.contains_vector(np.array(res.fact.witness, dtype=np.uint8))
+    # n = k: no column outside an information set
+    res = information_set_bounds(field, np.eye(3, dtype=np.uint8))
+    assert res.fact.exact and res.fact.value == 1
+
+
+def test_under_reporting_kernel_raises(monkeypatch):
+    # each witness is weighed again, so a kernel that reports one less
+    # than the true distance can never produce a false exact fact
+    C = random_code(F4, 12, 4, np.random.default_rng(53))
+    distance = _BitPlanes.distance
+    monkeypatch.setattr(_BitPlanes, "distance", lambda self, A, B: distance(self, A, B) - 1)
+    with pytest.raises(EaqeccError, match="does not have weight"):
+        span_weight_scan(F4, C.G.array)
+    with pytest.raises(EaqeccError, match="does not have weight"):
+        information_set_bounds(F4, C.G.array)
 
 
 def test_span_scan_cap():
@@ -207,6 +255,22 @@ def test_information_sets_pinned_results(shape, options, fact, outside, work, ro
     assert summary(res.fact) == fact
     assert (res.outside_fact and summary(res.outside_fact)) == outside
     assert (res.work, res.rounds) == (work, rounds)
+
+
+def test_information_sets_paper_pair():
+    # the paper's Hermitian self-orthogonal [29,14,12]_9 code, and its
+    # [29,15]_9 Hermitian dual outside the hull (the code itself): the
+    # weight-5 passes put two levels into each half of the sum-set blocks
+    C = LinearCode(F9, MatrixFq.from_text(tables.load_data_text("g29_14_9.txt"))[0])
+    res = information_set_bounds(F9, C.G.array)
+    assert str(res.fact) == "12" and res.fact.method == "information_sets"
+    assert "".join(map(str, res.fact.witness)) == "00100000000000200407383646508"
+    assert (res.work, res.rounds) == (17473484, (5, 5, 0))
+    D = C.hermitian_dual()
+    res = information_set_bounds(F9, D.G.array, subcode=C.hull_code().G.array)
+    assert (str(res.fact), str(res.outside_fact)) == ("11", "11")
+    assert "".join(map(str, res.outside_fact.witness)) == "10001000000000040150345700023"
+    assert (res.work, res.rounds) == (26058286, (5, 5))
 
 
 def test_large_prime_field_enumeration():

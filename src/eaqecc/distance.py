@@ -12,6 +12,10 @@ Two walks cover every search, both built by one expansion step
   systematic generator matrices over (mostly) disjoint pivot sets by
   message weight, tightening a lower bound while low-weight witnesses
   tighten the upper bound, until the two meet or a budget runs out.
+  Forms whose pivot sets are cyclic rotations of each other share
+  their passes once the code (and the subcode, for relative facts) is
+  proved invariant under a cyclic shift; that proof runs once, before
+  the first pass that enumerates more than one batch of messages.
 
 Inside this module codewords are held as planes, batch axis last, and
 the layout depends on the characteristic p alone:
@@ -352,7 +356,8 @@ class _SystematicForm:
     deficit: int           # k - len(fresh)
     planes: object         # plane layout of the non-pivot columns
     mults: np.ndarray      # planes of every row multiple, restricted to them
-    r: int = 0             # message weights fully enumerated so far
+    orbit: int             # rotation class of the pivot set (_rotation_class)
+    r: int = 0             # message weights enumerated or credited so far
 
 
 def _systematic_forms(field: FieldSpec, G: np.ndarray):
@@ -372,8 +377,23 @@ def _systematic_forms(field: FieldSpec, G: np.ndarray):
         nonpiv = [c for c in range(n) if c not in set(pivots)]
         planes = _planes(field, len(nonpiv))
         mults = _multiples(planes, R.array[:, nonpiv])
-        forms.append(_SystematicForm(R.array, pivots, fresh, k - len(fresh), planes, mults))
+        forms.append(_SystematicForm(
+            R.array, pivots, fresh, k - len(fresh), planes, mults, _rotation_class(pivots, n)))
     return forms
+
+
+def _rotation_class(pivots, n: int) -> int:
+    """The least of the n cyclic rotations of a pivot set, as an n-bit mask."""
+    mask, full = sum(1 << c for c in pivots), (1 << n) - 1
+    return min((mask << t | mask >> (n - t)) & full for t in range(n))
+
+
+def _shift_invariant(field: FieldSpec, R: np.ndarray, pivots) -> bool:
+    """Whether the row space of the RREF rows R is closed under a cyclic column shift."""
+    from .matrix import in_row_space  # local import; matrix builds on fields only
+
+    R = R[: len(pivots)]
+    return bool(in_row_space(np.roll(R, 1, axis=1), R, pivots, field).all())
 
 
 class _BudgetExhausted(Exception):
@@ -527,6 +547,17 @@ def information_set_bounds(
     subcode; the result then carries a second fact for the minimum
     weight outside that subcode, and the loop runs until the bounds
     outside the subcode meet (the whole code's bounds meet no later).
+
+    `rounds` holds each form's r: the message weights it enumerated, or
+    was credited with.  Just before the first pass that enumerates more
+    than _BATCH_WORDS messages, and only when two forms' pivot sets are
+    cyclic rotations of each other, one test checks that a one-column
+    cyclic shift maps the code (and the subcode) onto itself.  If it
+    does, a pass on one form counts for every form in its rotation
+    class, passes already run included: a word with at most r nonzeros
+    on a rotated pivot set is the rotation of a word with at most r
+    nonzeros on the enumerated one, of the same weight and inside the
+    subcode exactly when that word is.
     """
     k, n = G.shape
     if k < 1:
@@ -546,6 +577,13 @@ def information_set_bounds(
         w_gain = max(f.r + 1, f.deficit)
         return sum(math.comb(k, w) * (q - 1) ** (w - 1) for w in range(f.r + 1, w_gain + 1))
 
+    def credit(form):
+        for f in forms:
+            if f.orbit == form.orbit:
+                f.r = max(f.r, form.r)
+
+    unproved = len({f.orbit for f in forms}) < len(forms)
+    cyclic = False
     try:
         while True:
             lb = lower_bound()
@@ -557,8 +595,21 @@ def information_set_bounds(
             if not candidates:
                 break
             form = min(candidates, key=lambda f: (step_cost(f), f.r, forms.index(f)))
-            _bz_weight_pass(state, form, form.r + 1)
-            form.r += 1
+            w = form.r + 1
+            if unproved and math.comb(k, w) * (q - 1) ** (w - 1) > _BATCH_WORDS:
+                # a loop whose passes each fit in one batch would spend more on
+                # the test than the credit saves it
+                unproved = False
+                cyclic = _shift_invariant(field, forms[0].G, forms[0].pivots) and (
+                    state.sub is None or _shift_invariant(field, *state.sub))
+                if cyclic:
+                    for f in forms:
+                        credit(f)
+                continue
+            _bz_weight_pass(state, form, w)
+            form.r = w
+            if cyclic:
+                credit(form)
     except _BudgetExhausted:
         pass
 

@@ -54,8 +54,14 @@ def test_criterion_1_golden_29_14_12():
         information_set_bounds, F9, dual.G.array, target=10, work_budget=10**9
     )
     assert t_dual < 60.0
-    assert res_dual.fact.certainty == "lower_bound" and res_dual.fact.value >= 10
-    assert res_dual.fact.upper is not None and res_dual.fact.upper >= 11
+    assert res_dual.fact.value >= 10
+    if res_dual.fact.exact:
+        # the dual is cyclic: one enumerated form certifies all of d = 11
+        assert res_dual.fact.value == 11
+        assert sum(1 for v in res_dual.fact.witness if v) == 11
+    else:
+        assert res_dual.fact.certainty == "lower_bound"
+        assert res_dual.fact.upper is not None and res_dual.fact.upper >= 11
 
     res_c, t_c = timed(information_set_bounds, F9, C29.G.array, target=10, work_budget=10**9)
     assert t_c < 60.0

@@ -84,6 +84,23 @@ def test_distance_outside(tmp_path, c6_file):
     assert code == 0 and "value=3" in stdout
 
 
+def test_paper_code_bounds_at_fixed_budgets(capsys):
+    # the [29,14]_9 code and its Hermitian dual are cyclic, so a pass on
+    # one information set counts for its rotations once a batch is at stake
+    g29 = str(DATA / "g29_14_9.txt")
+
+    def first_line(*args):
+        assert cli.main([*args, g29, "--format", "machine"]) == 0
+        return capsys.readouterr().out.splitlines()[1]
+
+    assert " delta=9 delta_certainty=lower_bound " in first_line("construct", "--route", "hermitian")
+    assert first_line("distance", "--budget", "1000000").startswith(
+        "distance value=10 certainty=lower_bound method=information_sets upper=12 ")
+    # at the default budget no pass reaches a batch
+    assert first_line("distance").startswith(
+        "distance value=6 certainty=lower_bound method=information_sets upper=12 ")
+
+
 def test_propagate_extend_column_writes_step(tmp_path):
     G5 = np.hstack([np.eye(4, dtype=np.uint8), np.full((4, 1), 2, np.uint8)])
     p = tmp_path / "c5.txt"

@@ -1,7 +1,10 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
-from eaqecc import tables
+from eaqecc import distance, tables
 from eaqecc.codes import LinearCode, random_code, relative_distance
 from eaqecc.distance import (
     DistanceFact,
@@ -234,8 +237,8 @@ IS_PINS = [
 ]
 
 
-@pytest.mark.parametrize("shape, options, fact, outside, work, rounds", IS_PINS)
-def test_information_sets_pinned_results(shape, options, fact, outside, work, rounds):
+def pinned_run(shape, options):
+    """(fact, outside fact, work, rounds) of one IS_PINS row, facts as pinned."""
     q, n, k, seed = shape
     field = GF(q)
     C = random_code(field, n, k, np.random.default_rng(seed))
@@ -252,9 +255,23 @@ def test_information_sets_pinned_results(shape, options, fact, outside, work, ro
         return str(f), "".join("0123456789abcdef"[v] for v in w)
 
     res = information_set_bounds(field, C.G.array, **options)
-    assert summary(res.fact) == fact
-    assert (res.outside_fact and summary(res.outside_fact)) == outside
-    assert (res.work, res.rounds) == (work, rounds)
+    return summary(res.fact), res.outside_fact and summary(res.outside_fact), res.work, res.rounds
+
+
+@pytest.mark.parametrize("shape, options, fact, outside, work, rounds", IS_PINS)
+def test_information_sets_pinned_results(shape, options, fact, outside, work, rounds):
+    assert pinned_run(shape, options) == (fact, outside, work, rounds)
+
+
+def test_rotated_pivot_sets_of_random_codes_get_no_credit(monkeypatch):
+    # the random codes' forms have pivot sets that are rotations of each
+    # other, but the codes are not cyclic: with small batches the shift
+    # test runs and fails, and every pin holds
+    proofs = spy_shift_tests(monkeypatch)
+    monkeypatch.setattr(distance, "_BATCH_WORDS", 64)
+    for shape, options, *want in IS_PINS:
+        assert pinned_run(shape, options) == tuple(want), (shape, options)
+    assert proofs and not any(proofs)
 
 
 def test_information_sets_paper_pair():
@@ -265,12 +282,14 @@ def test_information_sets_paper_pair():
     res = information_set_bounds(F9, C.G.array)
     assert str(res.fact) == "12" and res.fact.method == "information_sets"
     assert "".join(map(str, res.fact.witness)) == "00100000000000200407383646508"
-    assert (res.work, res.rounds) == (17473484, (5, 5, 0))
+    # both codes are cyclic: the first form enumerates, and the forms over
+    # its rotations share its passes
+    assert (res.work, res.rounds) == (8760780, (5, 5, 5))
     D = C.hermitian_dual()
     res = information_set_bounds(F9, D.G.array, subcode=C.hull_code().G.array)
     assert (str(res.fact), str(res.outside_fact)) == ("11", "11")
     assert "".join(map(str, res.outside_fact.witness)) == "10001000000000040150345700023"
-    assert (res.work, res.rounds) == (26058286, (5, 5))
+    assert (res.work, res.rounds) == (13059118, (5, 5))
 
 
 def test_large_prime_field_enumeration():
@@ -325,3 +344,203 @@ def test_hull_relative_information_sets_match_brute_force():
             assert out.exact and out.value == brute_min_outside(field, big.G.array, member)
             assert whole.exact and whole.value == brute_min_distance(field, big.G.array)
             assert not member(out.witness)
+
+
+# -- cyclic codes: a pass on one form counts for its rotations ------------------
+
+
+def poly_divmod(field, num, den):
+    """Quotient and remainder of num by the monic den, coefficients low to high."""
+    rem, d = list(num), len(den) - 1
+    quot = [0] * max(1, len(num) - d)
+    for i in range(len(num) - 1 - d, -1, -1):
+        c = rem[i + d]
+        quot[i] = c
+        for j, v in enumerate(den):
+            rem[i + j] = field.sub(rem[i + j], field.mul(c, v))
+    return quot, rem[:d]
+
+
+def poly_mul(field, a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = field.add(out[i + j], field.mul(x, y))
+    return out
+
+
+def cyclic_factors(field, n):
+    """Monic irreducible factors of x^n - 1, by trial division (p does not divide n)."""
+    rest, found, d = [field.neg(1)] + [0] * (n - 1) + [1], [], 1
+    while 2 * d < len(rest):
+        for tail in itertools.product(range(field.order), repeat=d):
+            quot, rem = poly_divmod(field, rest, list(tail) + [1])
+            while not any(rem):
+                found.append(list(tail) + [1])
+                rest = quot
+                quot, rem = poly_divmod(field, rest, list(tail) + [1])
+        d += 1
+    return found + ([rest] if len(rest) > 1 else [])
+
+
+def cyclic_code(field, n, factors):
+    """The cyclic code generated by the product g of factors: rows x^i g(x)."""
+    g = [1]
+    for f in factors:
+        g = poly_mul(field, g, f)
+    k = n - len(g) + 1
+    G = np.zeros((k, n), dtype=np.uint8)
+    for i in range(k):
+        G[i, i : i + len(g)] = g
+    return LinearCode(field, G)
+
+
+def cyclic_codes(field, n, max_words):
+    """(code, its generator's factors): one cyclic code of length n for each
+    dimension 2 <= k < n with q^k <= max_words, fewest factors first."""
+    factors, dims = cyclic_factors(field, n), set()
+    for size in range(1, len(factors)):
+        for chosen in itertools.combinations(factors, size):
+            k = n - sum(len(f) - 1 for f in chosen)
+            if k >= 2 and field.order**k <= max_words and k not in dims:
+                dims.add(k)
+                yield cyclic_code(field, n, chosen), list(chosen)
+
+
+def spy_shift_tests(monkeypatch):
+    """A list that collects the result of every cyclic-shift test."""
+    proofs, test = [], distance._shift_invariant
+
+    def spy(*args):
+        proofs.append(test(*args))
+        return proofs[-1]
+
+    monkeypatch.setattr(distance, "_shift_invariant", spy)
+    return proofs
+
+
+CYCLIC = [(F2, 7), (F2, 15), (F2, 17), (F3, 11), (F3, 13), (F4, 5), (F4, 15), (F9, 8), (F9, 10)]
+
+
+def test_cyclic_factors():
+    # [7,4] Hamming and ternary [11,6] Golay generators are among the factors
+    assert [1, 1, 0, 1] in cyclic_factors(F2, 7)
+    assert [2, 0, 1, 2, 1, 1] in cyclic_factors(F3, 11)
+    for field, n in CYCLIC:
+        for C, _ in cyclic_codes(field, n, 1 << 12):
+            assert C.contains_code(LinearCode(field, np.roll(C.G.array, 1, axis=1)))
+
+
+@pytest.mark.parametrize("field, n", CYCLIC, ids=lambda v: str(getattr(v, "order", v)))
+def test_cyclic_credit_matches_brute_force(monkeypatch, field, n):
+    # with no batch to save, the shift test runs before the first pass;
+    # every form's pivot set is a rotation of the first, so all forms end
+    # with the same r
+    proofs = spy_shift_tests(monkeypatch)
+    monkeypatch.setattr(distance, "_BATCH_WORDS", 0)
+    codes = list(cyclic_codes(field, n, 3000))
+    assert codes
+    for C, _ in codes:
+        res = information_set_bounds(field, C.G.array)
+        assert res.fact.exact and res.fact.value == brute_min_distance(field, C.G.array)
+        assert weight(res.fact.witness) == res.fact.value
+        assert C.contains_vector(np.array(res.fact.witness, dtype=np.uint8))
+        assert len(res.rounds) > 1 and len(set(res.rounds)) == 1, res.rounds
+    assert len(proofs) == len(codes) and all(proofs)
+
+
+@pytest.mark.parametrize("field, n", [(F2, 15), (F3, 13), (F4, 15), (F9, 10)],
+                         ids=lambda v: str(getattr(v, "order", v)))
+def test_cyclic_credit_relative_facts(monkeypatch, field, n):
+    proofs = spy_shift_tests(monkeypatch)
+    factors, kinds = cyclic_factors(field, n), set()
+    for C, chosen in cyclic_codes(field, n, 600):
+        subs = [(LinearCode(field, C.G.array[:1]), False)]  # one word: not cyclic
+        # the cyclic subcodes one more factor of x^n - 1 generates
+        subs += [(cyclic_code(field, n, chosen + [f]), True) for f in factors
+                 if f not in chosen and len(f) - 1 < C.k]
+        for sub, cyclic in subs:
+            del proofs[:]
+            plain = information_set_bounds(field, C.G.array, subcode=sub.G.array)
+            assert not proofs  # no pass of so small a loop fills a batch
+            with monkeypatch.context() as patch:
+                patch.setattr(distance, "_BATCH_WORDS", 0)
+                res = information_set_bounds(field, C.G.array, subcode=sub.G.array)
+            member = lambda w: sub.contains_vector(np.array(w, dtype=np.uint8))  # noqa: E731
+            want = brute_min_outside(field, C.G.array, member)
+            assert res.outside_fact.exact and res.outside_fact.value == want
+            assert res.fact.exact and res.fact.value == brute_min_distance(field, C.G.array)
+            assert not member(res.outside_fact.witness)
+            assert proofs == [True, cyclic]
+            kinds.add(cyclic)
+            if cyclic:
+                assert len(set(res.rounds)) == 1, res.rounds
+            else:  # each form enumerated on its own
+                assert (res.work, res.rounds) == (plain.work, plain.rounds)
+    assert kinds == {True, False}
+
+
+# -- MacWilliams: C's weights fix its dual's, far past brute force --------------
+
+
+def weight_distribution(field, rows):
+    """A_0..A_n of span(rows) from the scalar-class walk, q - 1 words a class."""
+    A = [1] + [0] * rows.shape[1]
+    for _, words in span_values(field, rows):
+        for w, count in zip(*np.unique((words != 0).sum(axis=1), return_counts=True)):
+            A[int(w)] += int(count) * (field.order - 1)
+    return A
+
+
+def macwilliams(q, k, A):
+    """The dual's weight distribution, through Krawtchouk polynomials in exact integers."""
+    n = len(A) - 1
+    B = []
+    for j in range(n + 1):
+        total = sum(
+            A[i] * sum((-1) ** s * (q - 1) ** (j - s) * math.comb(i, s) * math.comb(n - i, j - s)
+                       for s in range(j + 1))
+            for i in range(n + 1))
+        coefficient, rest = divmod(total, q**k)
+        assert rest == 0 and coefficient >= 0, (j, total)
+        B.append(coefficient)
+    assert B[0] == 1 and sum(B) == q ** (n - k)
+    return B
+
+
+def first_nonzero_weight(B):
+    return next(w for w in range(1, len(B)) if B[w])
+
+
+# (q, n, k): q^k <= 10^5 words of C, and a dual of 2^18 to 9^8 words,
+# past brute force, with distance 3 to 5
+MACWILLIAMS = [(2, 34, 16), (3, 22, 10), (4, 18, 8), (9, 13, 5), (25, 8, 3)]
+
+
+@pytest.mark.parametrize("q, n, k", MACWILLIAMS, ids=lambda v: str(v))
+def test_dual_distance_matches_macwilliams(q, n, k):
+    # a kernel that over-reports the lightest words lets a heavier word
+    # win with its true weight, so re-weighing witnesses cannot catch it
+    field = GF(q)
+    C = random_code(field, n, k, np.random.default_rng(60 + q))
+    # conjugation keeps weights: the Hermitian dual weighs as the Euclidean one
+    dual = C.hermitian_dual() if field.is_square_order else C.euclidean_dual()
+    d = first_nonzero_weight(macwilliams(q, k, weight_distribution(field, C.G.array)))
+    res = information_set_bounds(field, dual.G.array)
+    assert res.fact.exact and res.fact.value == d
+    assert weight(res.fact.witness) == d
+
+
+def test_paper_16_5_dual_distances_match_macwilliams():
+    C = LinearCode(F9, MatrixFq.from_text(tables.load_data_text("g16_5_9.txt"))[0])
+    B = macwilliams(9, C.k, weight_distribution(F9, C.G.array))
+    assert (first_nonzero_weight(B), B[5]) == (5, 3264)
+    res = information_set_bounds(F9, C.hermitian_dual().G.array)
+    assert res.fact.exact and res.fact.value == 5
+    # the hull lies in the dual: taking its words away leaves the words
+    # outside it
+    hull = C.hull_code()
+    outside = [b - h for b, h in zip(B, weight_distribution(F9, hull.G.array))]
+    out, whole = relative_distance(C.hermitian_dual(), hull, enum_cap=1)
+    assert out.exact and out.value == first_nonzero_weight(outside)
+    assert whole.exact and whole.value == 5

@@ -49,7 +49,7 @@ print("  replaying the stored certificate:", prop.replay_step(step))
 print("\n== the printed single-step rules ==")
 rec = tables.CodeRecord(3, 6, 1, 5, 3, "pure", "constructed").to_params()
 for rule in (1, 2, 3, 4, 8):
-    print(f"  rule {rule} ({prop.SIMPLE_RULE_NAMES[rule]}):", prop.apply_simple_rule(rec, rule))
+    print(f"  rule {rule} ({prop.SIMPLE_RULES[rule].name}):", prop.apply_simple_rule(rec, rule))
 
 print("\n== entanglement searches ==")
 tetra = LinearCode(F9, np.array([[1, 0, 1, 1], [0, 1, 1, 2]], dtype=np.uint8))

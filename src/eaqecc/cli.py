@@ -300,6 +300,7 @@ def cmd_verify_paper(args, w):
 
 
 PROPAGATE_RULES = {rule.name: rule for rule in propagate.RULES.values()}
+_SIMPLE_RULE_IDS = f"{min(propagate.SIMPLE_RULES)}..{max(propagate.SIMPLE_RULES)}"
 
 
 def non_negative_int(text: str, low: int = 0) -> int:
@@ -318,8 +319,8 @@ def positive_int(text: str) -> int:
 def rule_ids(text: str) -> frozenset:
     """argparse type of --rules: comma-separated simple-rule ids."""
     ids = frozenset(int(t) for t in text.split(","))
-    if not ids <= tables.ALL_RULES:
-        raise argparse.ArgumentTypeError(f"rule ids must lie in 1..8, got {text}")
+    if not ids <= propagate.SIMPLE_RULES.keys():
+        raise argparse.ArgumentTypeError(f"rule ids must lie in {_SIMPLE_RULE_IDS}, got {text}")
     return ids
 
 
@@ -380,8 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out-step")
     sp.set_defaults(func=cmd_propagate)
 
-    sp = sub.add_parser("simple-rule", parents=[common], help="printed parameter rules 1..8")
-    sp.add_argument("--rule", type=int, required=True, choices=range(1, 9))
+    sp = sub.add_parser("simple-rule", parents=[common],
+                        help=f"printed parameter rules {_SIMPLE_RULE_IDS}")
+    sp.add_argument("--rule", type=int, required=True, choices=propagate.SIMPLE_RULES)
     sp.add_argument("--record", required=True, help="input record line 'q n kappa delta c ...'")
     sp.set_defaults(func=cmd_simple_rule)
 
@@ -410,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--bundled", choices=("qubit", "qutrit"))
     sp.add_argument("--file", action="append")
     sp.add_argument("--rules", type=rule_ids, default=tables.DEFAULT_RULES,
-                    help="comma-separated rule ids in 1..8, default 1,2,3,4,5,7")
+                    help=f"comma-separated rule ids in {_SIMPLE_RULE_IDS}, "
+                    f"default {','.join(map(str, sorted(tables.DEFAULT_RULES)))}")
     sp.add_argument("--n-max", type=positive_int)
     sp.add_argument("--chains", action="store_true", help="tag derived records with rule chains")
     sp.add_argument("--q", type=positive_int)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -404,17 +405,16 @@ def extend_row_column_step(C: LinearCode, word) -> PropagationStep:
     return PropagationStep("extend_row_column", None, None, cert)
 
 
-def min_entanglement_search_step(C: LinearCode, **kw) -> PropagationStep:
-    res = min_entanglement_search(C, **kw)
-    cert = {
-        "input": C,
-        "diagonal": res.diagonal,
-        "c_min": res.c_min,
-        "mode": kw.get("mode", "exhaustive"),
-        "seed": kw.get("seed", 0),
-        "budget": kw.get("budget", DEFAULT_SEARCH_BUDGET),
-        "cap": kw.get("cap", DEFAULT_SPACE_CAP),
-    }
+def min_entanglement_search_step(
+    C: LinearCode,
+    mode: str = "exhaustive",
+    seed: int = 0,
+    budget: int = DEFAULT_SEARCH_BUDGET,
+    cap: int = DEFAULT_SPACE_CAP,
+) -> PropagationStep:
+    res = min_entanglement_search(C, mode=mode, seed=seed, budget=budget, cap=cap)
+    cert = {"input": C, "diagonal": res.diagonal, "c_min": res.c_min,
+            "mode": mode, "seed": seed, "budget": budget, "cap": cap}
     return PropagationStep("min_ent_search", None, None, cert)
 
 
@@ -648,79 +648,74 @@ RULES = {
 # the eight single-step parameter rules
 # --------------------------------------------------------------------------
 
-SIMPLE_RULE_NAMES = {
-    1: "length extension",
-    2: "subcode",
-    3: "smaller distance",
-    4: "more entanglement",
-    5: "puncturing",
-    6: "dimension up via extra entanglement",
-    7: "length down via extra entanglement",
-    8: "shortening a pure code",
+
+@dataclass(frozen=True)
+class SimpleRule:
+    """A printed parameter rule: the shift (dn, dkappa, ddelta, dc) it applies.
+
+    It applies when n stays >= 1 and each of kappa, delta - 1 and the free
+    ebit room n - kappa - c that the shift lowers stays >= 0.  A `pure_in`
+    rule also needs a pure input, and q >= `min_q`.  Only a `pure_out`
+    rule's output is pure to its distance; every other one's is unknown.
+    """
+
+    name: str
+    shift: tuple
+    pure_in: bool = False
+    min_q: int = 1
+    pure_out: bool = False
+
+    def limits(self) -> tuple:
+        """Least (pure, q, n, kappa, delta, room) the rule applies to, -inf for none."""
+        dn, dk, dd, dc = self.shift
+        floors = ((1, dn), (0, dk), (1, dd), (0, dn - dk - dc))
+        lows = tuple(low - d if d < 0 else -math.inf for low, d in floors)
+        return (int(self.pure_in), self.min_q) + lows
+
+    def unmet(self, q, n, kappa, delta, c, pure) -> str:
+        """The first condition these parameters miss, or '' when the rule applies."""
+        have = (pure, q, n, kappa, delta, n - kappa - c)
+        for need, value, low in zip(_NEEDS, have, self.limits()):
+            if value < low:
+                return "needs " + need.format(low)
+        return ""
+
+
+# each limit of SimpleRule.limits, as its unmet condition reads
+_NEEDS = (
+    "a pure input", "q >= {}", "n >= {}", "kappa >= {}", "delta >= {}", "n - kappa - c >= {}"
+)
+
+SIMPLE_RULES = {
+    1: SimpleRule("length extension", (1, 0, 0, 0)),
+    2: SimpleRule("subcode", (0, -1, 0, 0)),
+    3: SimpleRule("smaller distance", (0, 0, -1, 0)),
+    4: SimpleRule("more entanglement", (0, 0, 0, 1)),
+    5: SimpleRule("puncturing", (-1, 0, -1, 0)),
+    6: SimpleRule("dimension up via extra entanglement", (0, 1, 0, 1),
+                  pure_in=True, min_q=3, pure_out=True),
+    7: SimpleRule("length down via extra entanglement", (-1, 0, 0, 1)),
+    8: SimpleRule("shortening a pure code", (-1, 1, -1, 0), pure_in=True),
 }
 
-# rules whose output is pure to its distance; every other output's purity is unknown
-PURE_OUTPUT_RULES = frozenset({6})
 
-
-def simple_rule_applicable(rule, q, n, kappa, delta, c, pure):
-    """(ok, reason) for one rule on plain parameters."""
-    if rule == 1:
-        return True, ""
-    if rule == 2:
-        return (kappa >= 1, "needs kappa >= 1")
-    if rule == 3:
-        return (delta >= 2, "needs delta >= 2")
-    if rule == 4:
-        return (c + 1 <= n - kappa, "needs c + 1 <= n - kappa")
-    if rule == 5:
-        if delta < 2:
-            return False, "needs delta > 1"
-        return (c < n - kappa, "needs c < n - kappa")
-    if rule == 6:
-        if not pure:
-            return False, "needs a pure input"
-        if q <= 2:
-            return False, "needs q > 2"
-        return (c <= n - kappa - 2, "needs c <= n - kappa - 2")
-    if rule == 7:
-        return (c <= n - kappa - 2, "needs c <= n - kappa - 2")
-    if rule == 8:
-        if not pure:
-            return False, "needs a pure input"
-        if delta < 2:
-            return False, "needs delta >= 2"
-        return (c <= n - kappa - 2, "output needs c <= (n-1) - (kappa+1)")
-    raise PreconditionError(f"unknown rule {rule}")
+def simple_rule(rule) -> SimpleRule:
+    if rule not in SIMPLE_RULES:
+        raise PreconditionError(f"unknown rule {rule}")
+    return SIMPLE_RULES[rule]
 
 
 def simple_rule_transform(rule, n, kappa, delta, c):
-    if rule == 1:
-        return n + 1, kappa, delta, c
-    if rule == 2:
-        return n, kappa - 1, delta, c
-    if rule == 3:
-        return n, kappa, delta - 1, c
-    if rule == 4:
-        return n, kappa, delta, c + 1
-    if rule == 5:
-        return n - 1, kappa, delta - 1, c
-    if rule == 6:
-        return n, kappa + 1, delta, c + 1
-    if rule == 7:
-        return n - 1, kappa, delta, c + 1
-    if rule == 8:
-        return n - 1, kappa + 1, delta - 1, c
-    raise PreconditionError(f"unknown rule {rule}")
+    dn, dk, dd, dc = SIMPLE_RULES[rule].shift
+    return n + dn, kappa + dk, delta + dd, c + dc
 
 
 def apply_simple_rule(Q: EaqeccParams, rule: int) -> EaqeccParams:
     """The printed single-step transform, with its side conditions enforced."""
-    ok, reason = simple_rule_applicable(
-        rule, Q.q, Q.n, Q.kappa, Q.delta.value, Q.c, Q.is_pure_at_delta()
-    )
-    if not ok:
-        raise RuleNotApplicableError(f"rule {rule} ({SIMPLE_RULE_NAMES[rule]}): {reason}")
+    entry = simple_rule(rule)
+    reason = entry.unmet(Q.q, Q.n, Q.kappa, Q.delta.value, Q.c, Q.is_pure_at_delta())
+    if reason:
+        raise RuleNotApplicableError(f"rule {rule} ({entry.name}): {reason}")
     n2, k2, d2, c2 = simple_rule_transform(rule, Q.n, Q.kappa, Q.delta.value, Q.c)
     out = EaqeccParams(
         q=Q.q,
@@ -728,16 +723,11 @@ def apply_simple_rule(Q: EaqeccParams, rule: int) -> EaqeccParams:
         kappa=k2,
         delta=DistanceFact(d2, "exact", "propagation"),
         c=c2,
-        purity=f"pure_to:{d2}" if rule in PURE_OUTPUT_RULES else "unknown",
+        purity=f"pure_to:{d2}" if entry.pure_out else "unknown",
         provenance=Q.provenance + (f"rule{rule}",),
     )
     bound_gate(out)
     return out
-
-
-def apply_simple_rule_step(Q: EaqeccParams, rule: int) -> PropagationStep:
-    out = apply_simple_rule(Q, rule)
-    return PropagationStep(f"simple_{rule}", Q, out, {"rule": rule})
 
 
 # --------------------------------------------------------------------------
@@ -765,9 +755,6 @@ def replay_step(step: PropagationStep):
         if (res.c_min, res.diagonal) != want:
             raise EaqeccError("replay mismatch for min_ent_search")
         return res
-    if rid.startswith("simple_"):
-        out = apply_simple_rule(_recorded_input(step), _cert_value(cert, "rule", _INT))
-        return _check_output(step, out)
     rule = RULES.get(rid)
     if rule is None:
         raise PreconditionError(f"cannot replay rule {rid}")

@@ -15,10 +15,8 @@ tables load through a checksum gate.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import heapq
-import io
 import itertools
 import re
 from dataclasses import dataclass
@@ -29,7 +27,6 @@ from .distance import DistanceFact
 from .errors import DataIntegrityError, RecordParseError
 
 DEFAULT_RULES = frozenset({1, 2, 3, 4, 5, 7})
-ALL_RULES = frozenset(range(1, 9))
 
 
 @dataclass(frozen=True)
@@ -140,10 +137,9 @@ def _walk(roots, rules, n_max):
     more steps, the best delta reachable in one or more steps, and the
     (previous cell, rule) that settled each cell (None at a root).
     """
-    applicable = propagate.simple_rule_applicable
     transform = propagate.simple_rule_transform
-    pure_out = propagate.PURE_OUTPUT_RULES
-    rules = sorted(rules)
+    entries = {rule: propagate.simple_rule(rule) for rule in sorted(rules)}
+    steps = [(rule, int(entry.pure_out)) + entry.limits() for rule, entry in entries.items()]
     cells, stepped, parent = {}, {}, {}
     buckets = [[] for _ in range(max((r.delta for r in roots), default=0) + 1)]
     order = itertools.count()  # first come, first settled, as in a breadth-first search
@@ -164,13 +160,15 @@ def _walk(roots, rules, n_max):
             if cells[cell] != (delta, idx):
                 continue
             q, n, kappa, c, pure = cell
-            for rule in rules:
-                if not applicable(rule, q, n, kappa, delta, c, pure)[0]:
+            room = n - kappa - c
+            for rule, pure2, pure_low, q_low, n_low, k_low, d_low, room_low in steps:
+                if not (n >= n_low and kappa >= k_low and delta >= d_low and room >= room_low
+                        and pure >= pure_low and q >= q_low):
                     continue
                 n2, k2, d2, c2 = transform(rule, n, kappa, delta, c)
-                if not 1 <= n2 <= n_max:
+                if n2 > n_max:
                     continue
-                cell2 = (q, n2, k2, c2, int(rule in pure_out))
+                cell2 = (q, n2, k2, c2, pure2)
                 if stepped.get(cell2, -1) < d2:
                     stepped[cell2] = d2
                 offer(cell2, d2, idx, (cell, rule))
@@ -322,15 +320,6 @@ def check_records(records, assume_route="hermitian"):
         if not report.ok:
             bad.append((rec, report))
     return bad
-
-
-def export_csv(records) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["q", "n", "kappa", "delta", "c", "purity", "source"])
-    for r in sorted(records, key=lambda r: r.key + (-r.delta,)):
-        writer.writerow([r.q, r.n, r.kappa, r.delta, r.c, r.purity, r.source])
-    return buf.getvalue()
 
 
 # --------------------------------------------------------------------------

@@ -205,6 +205,12 @@ def test_simple_rule_command():
     assert code == 0 and "n=4 kappa=1 delta=3 " in stdout
 
 
+def test_simple_rule_to_length_zero_exits_2():
+    code, stdout, stderr = run_cli("simple-rule", "--rule", "5", "--record", "2 1 0 2 0")
+    assert code == 2 and stdout == ""
+    assert stderr == "error: rule 5 (puncturing): needs n >= 2\n"
+
+
 def test_min_ent_and_puncture_space(tmp_path):
     G = np.array([[1, 0, 1, 1], [0, 1, 1, 2]], dtype=np.uint8)
     p = tmp_path / "tetra.txt"

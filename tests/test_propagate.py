@@ -19,6 +19,7 @@ from eaqecc.errors import (
 from eaqecc.fields import GF
 from eaqecc.matrix import MatrixFq
 from eaqecc.tables import CodeRecord
+import oracles
 from helpers import qualifying_word
 from oracles import brute_encode, brute_matmul, brute_min_distance, scalar_class_messages
 
@@ -470,17 +471,53 @@ def test_simple_rules_golden_transforms():
     assert (out.n, out.kappa, out.delta.value, out.c) == (5, 2, 4, 3)
 
 
-def test_simple_rule_side_conditions():
-    with pytest.raises(RuleNotApplicableError):
-        prop.apply_simple_rule(rec_params(3, 5, 2, 3, 3), 5)  # c = n - kappa
-    with pytest.raises(RuleNotApplicableError):
-        prop.apply_simple_rule(rec_params(2, 6, 1, 3, 2, purity="pure"), 6)  # q = 2
-    with pytest.raises(RuleNotApplicableError):
-        prop.apply_simple_rule(rec_params(3, 6, 1, 5, 3), 8)  # purity unknown
-    with pytest.raises(RuleNotApplicableError):
-        prop.apply_simple_rule(rec_params(3, 6, 0, 5, 3), 2)  # kappa = 0
-    with pytest.raises(RuleNotApplicableError):
-        prop.apply_simple_rule(rec_params(3, 6, 1, 1, 3), 3)  # delta = 1
+def test_simple_rule_conditions_match_oracle():
+    # every (rule, q, n, kappa, delta, c, pure) up to these sizes, records with
+    # c > n - kappa or delta = 0 included
+    grid = itertools.product(
+        prop.SIMPLE_RULES, (2, 3, 4), range(1, 7), range(8), range(5), range(8), (0, 1)
+    )
+    for rule, q, n, kappa, delta, c, pure in grid:
+        want = oracles.rule_step(rule, q, n, kappa, delta, c, pure)
+        if want is not None and want[0] < 1:
+            want = None  # no code has length 0
+        entry = prop.SIMPLE_RULES[rule]
+        reason = entry.unmet(q, n, kappa, delta, c, pure)
+        assert (reason == "") == (want is not None), (rule, q, n, kappa, delta, c, pure)
+        if want is None:
+            assert reason.startswith("needs ")
+            continue
+        got = prop.simple_rule_transform(rule, n, kappa, delta, c) + (int(entry.pure_out),)
+        assert got == want
+        if kappa <= n and c <= n - kappa:  # a record apply_simple_rule takes
+            purity = "pure" if pure else "unknown"
+            try:
+                out = prop.apply_simple_rule(rec_params(q, n, kappa, delta, c, purity), rule)
+            except EaqeccError as exc:  # the bound gate refuses what no code can have
+                assert "violate bounds" in str(exc)
+                continue
+            assert (out.n, out.kappa, out.delta.value, out.c) == want[:4]
+            assert out.is_pure_at_delta() == bool(want[4])
+
+
+@pytest.mark.parametrize("rule, record, reason", [
+    (5, (2, 1, 0, 2, 0), "needs n >= 2"),
+    (2, (3, 6, 0, 5, 3), "needs kappa >= 1"),
+    (3, (3, 6, 1, 1, 3), "needs delta >= 2"),
+    (5, (3, 5, 2, 3, 3), "needs n - kappa - c >= 1"),
+    (7, (3, 5, 2, 3, 2), "needs n - kappa - c >= 2"),
+    (8, (3, 6, 1, 5, 3), "needs a pure input"),
+    (6, (2, 6, 1, 3, 2, "pure"), "needs q >= 3"),
+])
+def test_simple_rule_side_conditions(rule, record, reason):
+    name = prop.SIMPLE_RULES[rule].name
+    with pytest.raises(RuleNotApplicableError, match=f"rule {rule} \\({name}\\): {reason}$"):
+        prop.apply_simple_rule(rec_params(*record), rule)
+
+
+def test_unknown_simple_rule():
+    with pytest.raises(PreconditionError, match="unknown rule 9"):
+        prop.apply_simple_rule(rec_params(2, 3, 1, 3, 2), 9)
 
 
 def test_simple_rule_purity_tags():
@@ -500,7 +537,6 @@ def test_step_round_trip_and_replay_each_kind():
     steps = [prop.more_entanglement_step(Q, 1)]
     Q2 = q_from_dual_of(lcd_54())
     steps.append(prop.same_entanglement_step(Q2))
-    steps.append(prop.apply_simple_rule_step(rec_params(2, 3, 1, 3, 2), 1))
     for step in steps:
         text = prop.step_to_text(step)
         back = prop.step_from_text(text)
@@ -516,11 +552,19 @@ def test_step_round_trip_and_replay_each_kind():
 
 
 def test_replay_detects_tampering():
-    step = prop.apply_simple_rule_step(rec_params(2, 3, 1, 3, 2), 1)
-    text = prop.step_to_text(step).replace("output 2 4 1 3 2", "output 2 4 1 3 1")
-    bad = prop.step_from_text(text)
-    with pytest.raises(EaqeccError):
+    C = LinearCode(F9, np.array([[1, 0, 1, 1], [0, 1, 1, 2]], dtype=np.uint8))
+    step = prop.more_entanglement_step(hermitian_construct(C), 1)
+    text = prop.step_to_text(step)
+    assert "output 3 4 1 3 1 pure_to:3" in text
+    bad = prop.step_from_text(text.replace("output 3 4 1 3 1", "output 3 4 1 3 0"))
+    with pytest.raises(EaqeccError, match="replay mismatch for more_ent: recomputed"):
         prop.replay_step(bad)
+
+
+def test_replay_rejects_simple_rule_steps():
+    text = "#v1 step rule=simple_1\ninput 2 3 1 3 2 unknown x\noutput 2 4 1 3 2 unknown x\n"
+    with pytest.raises(PreconditionError, match="cannot replay rule simple_1"):
+        prop.replay_step(prop.step_from_text(text + "cert rule int 1\n"))
 
 
 def test_classical_steps_round_trip_and_replay():

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import pathlib
 import random
 import shutil
@@ -13,7 +14,6 @@ from eaqecc.tables import (
     check_records,
     compress,
     expand,
-    export_csv,
     ingest,
     load_bundled,
     load_data_text,
@@ -196,6 +196,18 @@ def test_closure_matches_worklist_oracle(rules):
             assert _replay_chain(by_source[name], chain) == (r.key, r.delta, r.is_pure_at_delta())
 
 
+@pytest.mark.parametrize("rule", range(1, 9))
+def test_one_rule_closure_matches_oracle_on_any_record(rule):
+    # every record up to these sizes, c > n - kappa, kappa > n and delta = 0 included
+    grid = itertools.product(
+        (2, 3, 4), range(1, 7), range(8), range(5), range(8), ("pure", "unknown")
+    )
+    records = [rec(*params) for params in grid]
+    exp = expand(records, rules={rule}, n_max=7)
+    want = oracles.rule_closure([(_cell(r), r.delta) for r in records], {rule}, 7)
+    assert {cell: d for cell, (d, _) in exp.cells.items()} == want
+
+
 def test_query_prefers_higher_delta_then_smaller_c():
     store = TableStore([rec(3, 6, 1, 4, 3, source="b"), rec(3, 6, 1, 4, 2, source="a")])
     hits = query(store, q=3, n=6, kappa=1, rules=frozenset(), n_max=6)
@@ -302,10 +314,3 @@ def test_expansion_from_pure_records_stays_bound_consistent():
     records = exp.records()
     assert len(records) > len(seeds)
     assert check_records(records) == []
-
-
-def test_export_csv_stable():
-    records = [rec(3, 6, 1, 5, 3), rec(2, 3, 1, 3, 2)]
-    text = export_csv(records)
-    assert text.splitlines()[0] == "q,n,kappa,delta,c,purity,source"
-    assert text == export_csv(list(reversed(records)))

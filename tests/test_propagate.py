@@ -500,7 +500,7 @@ def test_simple_rule_conditions_match_oracle():
             assert out.is_pure_at_delta() == bool(want[4])
 
 
-@pytest.mark.parametrize("rule, record, reason", [
+SIDE_CONDITION_CASES = [
     (5, (2, 1, 0, 2, 0), "needs n >= 2"),
     (2, (3, 6, 0, 5, 3), "needs kappa >= 1"),
     (3, (3, 6, 1, 1, 3), "needs delta >= 2"),
@@ -508,11 +508,14 @@ def test_simple_rule_conditions_match_oracle():
     (7, (3, 5, 2, 3, 2), "needs n - kappa - c >= 2"),
     (8, (3, 6, 1, 5, 3), "needs a pure input"),
     (6, (2, 6, 1, 3, 2, "pure"), "needs q >= 3"),
-])
-def test_simple_rule_side_conditions(rule, record, reason):
-    name = prop.SIMPLE_RULES[rule].name
-    with pytest.raises(RuleNotApplicableError, match=f"rule {rule} \\({name}\\): {reason}$"):
-        prop.apply_simple_rule(rec_params(*record), rule)
+]
+
+
+def test_simple_rule_side_conditions():
+    for rule, record, reason in SIDE_CONDITION_CASES:
+        name = prop.SIMPLE_RULES[rule].name
+        with pytest.raises(RuleNotApplicableError, match=f"rule {rule} \\({name}\\): {reason}$"):
+            prop.apply_simple_rule(rec_params(*record), rule)
 
 
 def test_unknown_simple_rule():

@@ -19,7 +19,7 @@ from . import bounds as bounds_mod
 from . import propagate, tables, verify
 from .codes import LinearCode, min_weight_outside
 from .construct import css_construct, hermitian_construct
-from .errors import EaqeccError
+from .errors import EaqeccError, PreconditionError
 from .matrix import MatrixFq
 
 
@@ -263,6 +263,12 @@ def cmd_table(args, w):
                    bounds=",".join(e.bound_id for e in rep.violations))
         w.emit("summary", records=len(store), violations=len(bad))
         return 0 if not bad else 1
+    # Derive nothing from a record that `table check` reports as a structure violation.
+    for rec in store:
+        try:
+            rec.to_params()
+        except PreconditionError as exc:
+            raise EaqeccError(f"record {rec.to_line()!r}: {exc} (see `table check`)") from None
     if args.action == "expand":
         exp = tables.expand(store, rules=args.rules, n_max=args.n_max)
         recs = exp.records(with_chains=args.chains)

@@ -34,7 +34,7 @@ class LinearCode:
             )
         self.field = field
         self.name = name
-        self.G = MatrixFq(field, R.array[:rank]) if rank < R.rows else R
+        self.G = R
         self._pivots = pivots
         self._cache = {}
 
@@ -92,8 +92,7 @@ class LinearCode:
         """
         if "hull" not in self._cache:
             self.field._require_square()
-            gram = self.G @ self.G.hermitian_transpose()
-            left = gram.transpose().kernel()  # u with u (G G^dagger) = 0
+            left = self.gram_hermitian().transpose().kernel()  # u with u (G G^dagger) = 0
             basis = MatrixFq(self.field, gf_matmul(left.array, self.G.array, self.field))
             R, rank, _ = basis.rref()
             if rank != basis.rows:

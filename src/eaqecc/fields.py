@@ -15,8 +15,15 @@ and the powers of w run 1, 3, 4, 7, 2, 6, 8, 5 (w is primitive).
 
 Fields of square order q^2 carry the conjugation a -> a^q used by the
 Hermitian inner product; `norm` maps onto the base subfield GF(q).
-Multiplication and inversion go through log/antilog tables, so fields
-are cheap to use but bounded to order <= 256.
+
+Every operation is a lookup in q x q (or length-q) uint8 tables, so
+fields are cheap to use but bounded to order <= 256.  The tables are
+built in one vectorised pass: ADD and NEG act on the digit table
+DIGITS, a map X[a] = x*a shifts a's digits up and folds the top digit
+back through the defining polynomial, and MUL is Horner's rule over the
+digits of one factor, s lookup passes over the q x q table.  The
+polynomial is accepted exactly when MUL has no zero divisors (every
+nonzero row holds a 1), and INV is read off those same rows.
 """
 
 from __future__ import annotations
@@ -50,71 +57,12 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _poly_trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_mod(num, den, p):
-    """Remainder of num / den over GF(p), little-endian coefficient lists."""
-    num = [x % p for x in num]
-    den = _poly_trim([x % p for x in den])
-    inv_lead = pow(den[-1], -1, p)
-    num = _poly_trim(num)
-    while len(num) >= len(den):
-        factor = (num[-1] * inv_lead) % p
-        shift = len(num) - len(den)
-        for i, d in enumerate(den):
-            num[shift + i] = (num[shift + i] - factor * d) % p
-        num = _poly_trim(num)
-    return num
-
-
-def _poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return out
-
-
-def _poly_is_irreducible(poly, p):
-    """Trial check: no roots, and no monic factor of degree <= deg/2."""
-    poly = _poly_trim(poly)
-    deg = len(poly) - 1
-    if deg < 1:
-        return False
-    for r in range(p):
-        if sum(c * pow(r, i, p) for i, c in enumerate(poly)) % p == 0:
-            return False
-    if deg <= 3:
-        return True
-    for fdeg in range(2, deg // 2 + 1):
-        for enc in range(p**fdeg):
-            digits = _digits(enc, p, fdeg)
-            factor = digits + [1]
-            if not _poly_mod(poly, factor, p):
-                return False
-    return True
-
-
 def _digits(value, p, width):
     out = []
     for _ in range(width):
         out.append(value % p)
         value //= p
     return out
-
-
-def _encode(digits, p):
-    value = 0
-    for d in reversed(digits):
-        value = value * p + d
-    return value
 
 
 class FieldSpec:
@@ -135,18 +83,7 @@ class FieldSpec:
         self.p = p
         self.s = s
         self.order = order
-        if s == 1:
-            self.defining_poly = (0, 1)  # the class of x is 0; arithmetic is mod p
-        else:
-            if poly is None:
-                poly = DEFAULT_POLYS.get((p, s)) or self._search_poly(p, s)
-            poly = tuple(int(c) % p for c in poly)
-            if len(poly) != s + 1 or poly[-1] != 1:
-                raise InvalidFieldError(f"defining polynomial must be monic of degree {s}")
-            if not _poly_is_irreducible(poly, p):
-                raise InvalidFieldError(f"defining polynomial {poly} is reducible over GF({p})")
-            self.defining_poly = poly
-        self._build_tables()
+        self._build_tables(poly)
         self.generator = self._find_generator()
         # Freeze numpy tables against accidental mutation.
         for t in (self.ADD, self.MUL, self.NEG, self.INV, self.DIGITS):
@@ -155,44 +92,41 @@ class FieldSpec:
             self.CONJ.setflags(write=False)
             self.NORM.setflags(write=False)
 
-    @staticmethod
-    def _search_poly(p, s):
-        for enc in range(p**s):
-            cand = _digits(enc, p, s) + [1]
-            if _poly_is_irreducible(cand, p):
-                return tuple(cand)
-        raise InvalidFieldError(f"no irreducible polynomial of degree {s} over GF({p})")
-
-    def _mul_raw(self, a, b):
-        if self.s == 1:
-            return (a * b) % self.p
-        prod = _poly_mul(_digits(a, self.p, self.s), _digits(b, self.p, self.s), self.p)
-        return _encode(_poly_mod(prod, self.defining_poly, self.p), self.p)
-
-    def _build_tables(self):
+    def _build_tables(self, poly):
         p, s, q = self.p, self.s, self.order
-        self.ADD = np.zeros((q, q), dtype=np.uint8)
-        for a in range(q):
-            da = _digits(a, p, s)
-            for b in range(a, q):
-                db = _digits(b, p, s)
-                v = _encode([(x + y) % p for x, y in zip(da, db)], p)
-                self.ADD[a, b] = v
-                self.ADD[b, a] = v
-        self.NEG = np.array(
-            [_encode([(-d) % p for d in _digits(a, p, s)], p) for a in range(q)], dtype=np.uint8
-        )
-        self.MUL = np.zeros((q, q), dtype=np.uint8)
-        for a in range(q):
-            for b in range(a, q):
-                v = self._mul_raw(a, b)
-                self.MUL[a, b] = v
-                self.MUL[b, a] = v
-        self.INV = np.zeros(q, dtype=np.uint8)
-        for a in range(1, q):
-            row = self.MUL[a]
-            self.INV[a] = int(np.nonzero(row == 1)[0][0])
-        self.DIGITS = np.array([_digits(a, p, s) for a in range(q)], dtype=np.uint8)
+        weights = p ** np.arange(s)
+        D = np.arange(q)[:, None] // weights % p
+        self.DIGITS = D.astype(np.uint8)
+        self.ADD = ((D[:, None] + D) % p @ weights).astype(np.uint8)
+        self.NEG = (-D % p @ weights).astype(np.uint8)
+        scale = (np.arange(p)[:, None, None] * D) % p @ weights  # scale[d, a] = d*a
+        if s == 1:
+            candidates = [(0, 1)]  # the class of x is 0; arithmetic is mod p
+        elif poly is None and (p, s) not in DEFAULT_POLYS:
+            # the first monic polynomial of degree s in encoding order that gives a field
+            candidates = [(*D[enc].tolist(), 1) for enc in range(q)]
+        else:
+            poly = tuple(int(c) % p for c in (DEFAULT_POLYS[p, s] if poly is None else poly))
+            if len(poly) != s + 1 or poly[-1] != 1:
+                raise InvalidFieldError(f"defining polynomial must be monic of degree {s}")
+            candidates = [poly]
+        for poly in candidates:
+            # X[a] = x*a: a's digits shift up one place and the top digit
+            # folds back through x^s = -(c0 + c1 x + ... + c_{s-1} x^(s-1)).
+            Xd = -D[:, -1:] * np.array(poly[:s])
+            Xd[:, 1:] += D[:, :-1]
+            X = Xd % p @ weights
+            # Horner's rule over the digits of b: M <- x*M + b_i*a.
+            MUL = np.zeros((q, q), dtype=np.uint8)
+            for i in reversed(range(s)):
+                MUL = self.ADD.ravel()[X[MUL] * q + scale[D[:, i]]]
+            if (MUL[1:] == 1).any(axis=1).all():
+                break
+        else:
+            raise InvalidFieldError(f"defining polynomial {poly} is reducible over GF({p})")
+        self.defining_poly = poly
+        self.MUL = MUL
+        self.INV = np.argmax(MUL == 1, axis=1).astype(np.uint8)
         if s % 2 == 0:
             q0 = p ** (s // 2)
             self.CONJ = np.array([self.pow_(a, q0) for a in range(q)], dtype=np.uint8)

@@ -429,7 +429,7 @@ def _require_pure(Q: EaqeccParams):
         raise PreconditionError("this rule needs a pure input code")
 
 
-def _lift(rule_id: str, Q: EaqeccParams, code: LinearCode, cert: dict, label=None):
+def _lift(rule_id: str, Q: EaqeccParams, code: LinearCode, label=None):
     """Quantum output of an entanglement rule from the code its transform made.
 
     Column scaling (more_ent) keeps the distance and trades i hull
@@ -448,9 +448,7 @@ def _lift(rule_id: str, Q: EaqeccParams, code: LinearCode, cert: dict, label=Non
         )
         bound_gate(out)
         return out
-    enum_cap, work_budget = (_cert_value(cert, k, _INT) for k in ("enum_cap", "work_budget"))
-    out = hermitian_construct(code.hermitian_dual(), enum_cap=enum_cap, work_budget=work_budget)
-    out = dataclasses.replace(out, provenance=provenance)
+    out = dataclasses.replace(hermitian_construct(code.hermitian_dual()), provenance=provenance)
     d, d2 = Q.delta.value, out.delta.value
     if out.delta.exact and Q.delta.exact and not rule.distance_ok(d, d2, out.is_pure_at_delta()):
         raise EaqeccError(f"{rule_id} output distance {d2} out of range for {d}")
@@ -472,20 +470,14 @@ def more_entanglement_step(Q: EaqeccParams, i: int) -> PropagationStep:
         raise PreconditionError(f"shift i={i} not in [1, {ell}]")
     scalars, C2 = hull_reduce_scalars(C, ell - i)
     cert = {"input": C, "i": i, "scalars": scalars, "code": C2}
-    out = _lift("more_ent", Q, C2, cert, f"more_ent(i={i})")
+    out = _lift("more_ent", Q, C2, f"more_ent(i={i})")
     small = C.field.order ** C2.hermitian_dual().k <= MORE_ENT_VERIFY_CAP
     if small and hermitian_construct(C2).delta.value < Q.delta.value:
         raise EaqeccError("more-entanglement output lost distance")
     return PropagationStep("more_ent", Q, out, cert)
 
 
-def same_entanglement_step(
-    Q: EaqeccParams,
-    search: bool = False,
-    seed: int = 0,
-    enum_cap: int = dist.DEFAULT_ENUM_CAP,
-    work_budget: int = CONSTRUCT_WORK_BUDGET,
-) -> PropagationStep:
+def same_entanglement_step(Q: EaqeccParams, search: bool = False, seed: int = 0) -> PropagationStep:
     """[[n+1, kappa-1, delta'; c]] with delta' >= delta, and delta' <= delta + 1
     when the output is pure (an impure output's delta' counts only words
     outside the hull, which can be heavier still).
@@ -501,9 +493,9 @@ def same_entanglement_step(
     if not E.hull_dim < min(E.k, E.n - E.k):
         raise RuleNotApplicableError("dual code sits at the hull boundary; extension undefined")
     ext = extend_column_step(E, search=search, seed=seed).certificate
-    cert = {"input": E, "column": ext["column"], "code": ext["output"], "search": int(search),
-            "seed": seed, "enum_cap": enum_cap, "work_budget": work_budget}
-    out = _lift("same_ent", Q, ext["output"], cert, f"same_ent(search={search}, seed={seed})")
+    cert = {"input": E, "column": ext["column"], "code": ext["output"],
+            "search": int(search), "seed": seed}
+    out = _lift("same_ent", Q, ext["output"], f"same_ent(search={search}, seed={seed})")
     return PropagationStep("same_ent", Q, out, cert)
 
 
@@ -513,8 +505,6 @@ def less_entanglement_step(
     strategy: str = "exhaustive",
     seed: int = 0,
     budget: int = DEFAULT_SEARCH_BUDGET,
-    enum_cap: int = dist.DEFAULT_ENUM_CAP,
-    work_budget: int = CONSTRUCT_WORK_BUDGET,
 ) -> PropagationStep:
     """[[n+1, kappa, delta'; c-1]] with delta' <= delta.
 
@@ -531,19 +521,18 @@ def less_entanglement_step(
     if not E.hull_dim < min(E.k, E.n - E.k):
         raise RuleNotApplicableError("dual code sits at the hull boundary; extension undefined")
     if word is None:
-        word = _pick_extension_word(C, E, strategy, seed, budget, enum_cap)
+        word = _pick_extension_word(C, E, strategy, seed, budget)
     E2 = extend_row_column(E, word)
-    cert = {"input": E, "word": tuple(int(v) for v in word), "code": E2,
-            "enum_cap": enum_cap, "work_budget": work_budget}
-    out = _lift("less_ent", Q, E2, cert, f"less_ent(strategy={strategy})")
+    cert = {"input": E, "word": tuple(int(v) for v in word), "code": E2}
+    out = _lift("less_ent", Q, E2, f"less_ent(strategy={strategy})")
     return PropagationStep("less_ent", Q, out, cert)
 
 
-def _pick_extension_word(C, E, strategy, seed, budget, enum_cap):
+def _pick_extension_word(C, E, strategy, seed, budget):
     """Qualifying word of C \\ hull maximizing min(d(E), d0 + 1)."""
     field = C.field
     hull = C.hull_code()
-    d_e = E.min_distance(enum_cap=enum_cap).value
+    d_e = E.min_distance().value
     if strategy == "exhaustive":
         if field.order**C.k > budget * (field.order - 1):
             raise BudgetError("exhaustive word scan exceeds budget; use strategy='sampled'")
@@ -559,7 +548,7 @@ def _pick_extension_word(C, E, strategy, seed, budget, enum_cap):
         if hull.contains_vector(w) or hermitian_self_product(field, w) == 0:
             continue
         stacked = LinearCode(field, np.vstack([E.G.array, w[None, :]]))
-        sc = min(d_e, stacked.min_distance(enum_cap=enum_cap).value + 1)
+        sc = min(d_e, stacked.min_distance().value + 1)
         if best is None or sc > best[0]:
             best = (sc, w.copy())
             if sc == d_e:
@@ -773,7 +762,7 @@ def replay_step(step: PropagationStep):
     if got != recorded:
         raise EaqeccError(f"replay mismatch for {rid}: derived code differs")
     # the recorded code equals got and may carry cached distances
-    return _check_output(step, _lift(rid, Q, recorded, cert)) if rule.lifted else got
+    return _check_output(step, _lift(rid, Q, recorded)) if rule.lifted else got
 
 
 def _check_input_delta(rid: str, C: LinearCode, Q: EaqeccParams):

@@ -1,7 +1,17 @@
 """Helpers shared by several test modules."""
 
+import os
+import pathlib
+
+import eaqecc
 from eaqecc import propagate as prop
 from eaqecc.distance import span_values
+
+
+def package_env():
+    """Environment in which a child Python imports the same eaqecc package as the tests."""
+    paths = [str(pathlib.Path(eaqecc.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
 
 
 def qualifying_word(C):

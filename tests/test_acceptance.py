@@ -18,7 +18,7 @@ from eaqecc.construct import css_construct, hermitian_construct, intersection
 from eaqecc.distance import information_set_bounds, span_weight_scan
 from eaqecc.fields import GF
 from eaqecc.matrix import MatrixFq, gf_matmul
-from helpers import qualifying_word
+from helpers import package_env, qualifying_word
 
 F3, F9 = GF(3), GF(9)
 
@@ -360,7 +360,7 @@ def _run_battery(tmp_path):
     blob = b""
     for cmd in cmds:
         proc = subprocess.run(
-            [sys.executable, "-m", "eaqecc", *cmd], capture_output=True
+            [sys.executable, "-m", "eaqecc", *cmd], capture_output=True, env=package_env()
         )
         assert proc.returncode == 0, (cmd, proc.stderr)
         blob += proc.stdout

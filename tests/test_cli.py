@@ -17,6 +17,7 @@ from eaqecc.codes import LinearCode
 from eaqecc.errors import EaqeccError, RecordParseError
 from eaqecc.fields import GF
 from eaqecc.matrix import MatrixFq
+from helpers import package_env
 
 F9 = GF(9)
 DATA = pathlib.Path(eaqecc.__file__).parent / "data" / "paper"
@@ -24,7 +25,7 @@ DATA = pathlib.Path(eaqecc.__file__).parent / "data" / "paper"
 
 def run_cli(*args):
     proc = subprocess.run(
-        [sys.executable, "-m", "eaqecc", *args], capture_output=True, text=True
+        [sys.executable, "-m", "eaqecc", *args], capture_output=True, text=True, env=package_env()
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -265,6 +266,18 @@ def test_table_expand_compress(tmp_path):
         "--out", str(out), "--format", "machine",
     )
     assert code == 0 and "records=3" in stdout
+
+
+def test_table_derivations_refuse_structure_violations(tmp_path):
+    f = tmp_path / "bad.txt"
+    f.write_text("2 3 5 3 0\n2 3 1 3 4\n")  # kappa > n, then c > n - kappa
+    for action in (("expand", "--n-max", "4"), ("compress",), ("query", "--n", "4")):
+        code, stdout, stderr = run_cli("table", *action, "--file", str(f), "--format", "machine")
+        assert code == 2 and stdout == "#v1\n"
+        assert "record '2 3 1 3 4 unknown unknown': c=4 out of range" in stderr
+    code, stdout, _ = run_cli("table", "check", "--file", str(f), "--format", "machine")
+    assert code == 1
+    assert stdout.count("bounds=structure") == 2 and "violations=2" in stdout
 
 
 def test_verify_paper_passes():

@@ -1,9 +1,63 @@
+import numpy as np
 import pytest
 
 from eaqecc.errors import InvalidFieldError
 from eaqecc.fields import GF, FieldElement, FieldSpec
 
 SQUARE_ORDERS = [4, 9, 25, 49]
+
+
+def _is_prime_power(q):
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
+PRIME_POWERS = [q for q in range(2, 257) if _is_prime_power(q)]
+
+# Defining polynomials (little-endian) that the first irreducible monic
+# polynomial in encoding order gives; changing them re-encodes every field.
+SEARCHED_POLYS = {
+    8: (1, 1, 0, 1), 16: (1, 1, 0, 0, 1), 25: (2, 0, 1), 27: (1, 2, 0, 1),
+    32: (1, 0, 1, 0, 0, 1), 49: (1, 0, 1), 64: (1, 1, 0, 0, 0, 0, 1), 81: (2, 1, 0, 0, 1),
+    121: (1, 0, 1), 125: (1, 1, 0, 1), 128: (1, 1, 0, 0, 0, 0, 0, 1), 169: (2, 0, 1),
+    243: (1, 2, 0, 0, 0, 1), 256: (1, 1, 0, 1, 1, 0, 0, 0, 1),
+}
+
+
+def test_prime_powers_up_to_the_order_cap():
+    assert len(PRIME_POWERS) == 70 and PRIME_POWERS[-1] == 256
+
+
+@pytest.mark.parametrize("order", PRIME_POWERS)
+def test_tables_satisfy_the_field_axioms(order):
+    F = GF(order)
+    ADD, MUL = F.ADD.astype(np.intp), F.MUL.astype(np.intp)
+    if order <= 81:
+        a, b, c = np.ix_(*[np.arange(order)] * 3)
+    else:
+        a, b, c = np.random.default_rng(order).integers(0, order, size=(3, 200_000))
+    # With ADD digitwise, these checks leave one MUL for a given defining polynomial.
+    D = F.DIGITS.astype(np.intp)
+    assert (D @ F.p ** np.arange(F.s) == np.arange(order)).all()
+    assert (D[ADD[a, b]] == (D[a] + D[b]) % F.p).all()
+    assert (MUL[a, b] == MUL[b, a]).all()
+    assert (MUL[MUL[a, b], c] == MUL[a, MUL[b, c]]).all()
+    assert (MUL[a, ADD[b, c]] == ADD[MUL[a, b], MUL[a, c]]).all()
+    nonzero = np.arange(1, order)
+    assert (np.sort(MUL[1:], axis=1) == np.arange(order)).all()
+    assert (MUL[nonzero, F.INV[1:]] == 1).all() and (ADD[np.arange(order), F.NEG] == 0).all()
+    # x is encoded as p (as 0 in a prime field, where the defining polynomial is x)
+    x, power, value = F.p % order, 1, 0
+    for k, coeff in enumerate(F.defining_poly):
+        if k < F.s:
+            assert power == F.p**k
+        value = ADD[value, MUL[coeff, power]]
+        power = MUL[power, x]
+    assert value == 0
+    if order in SEARCHED_POLYS:
+        assert F.defining_poly == SEARCHED_POLYS[order]
 
 
 def test_gf9_encoding_table():
@@ -116,10 +170,15 @@ def test_square_order_gate():
 def test_field_construction_errors():
     with pytest.raises(InvalidFieldError):
         FieldSpec(4, 1)  # not prime
-    with pytest.raises(InvalidFieldError):
+    with pytest.raises(InvalidFieldError, match="reducible"):
         FieldSpec(3, 2, poly=(0, 0, 1))  # x^2 is reducible
-    with pytest.raises(InvalidFieldError):
+    with pytest.raises(InvalidFieldError, match="reducible"):
         FieldSpec(2, 2, poly=(1, 0, 1))  # x^2 + 1 = (x+1)^2 over GF(2)
+    with pytest.raises(InvalidFieldError, match="reducible"):
+        FieldSpec(2, 4, poly=(1, 0, 1, 0, 1))  # (x^2 + x + 1)^2, no root in GF(2)
+    for poly in ((1, 1, 2), (1, 1), (2, 0, 1, 0)):
+        with pytest.raises(InvalidFieldError, match="monic of degree 2"):
+            FieldSpec(3, 2, poly=poly)
     with pytest.raises(InvalidFieldError):
         GF(512)  # above the supported order cap
     with pytest.raises(InvalidFieldError):

@@ -620,6 +620,20 @@ def test_every_table_rule_round_trips_and_replays():
         assert prop.step_to_text(back) == text
 
 
+def test_old_step_files_replay_whatever_distance_budgets_they_record():
+    """Older same-ent and less-ent files carry enum_cap and work_budget lines;
+    replay ignores them, so a forged cap neither changes the output nor
+    starts an enumeration of the whole dual."""
+    Q = q_from_dual_of(lcd_54())
+    for step in (prop.same_entanglement_step(Q), prop.less_entanglement_step(Q)):
+        text = prop.step_to_text(step)
+        assert "enum_cap" not in text and "work_budget" not in text
+        for cap, budget in ((10**15, 10**6), (1, 1)):
+            old = text + f"cert enum_cap int {cap}\ncert work_budget int {budget}\n"
+            out = prop.replay_step(prop.step_from_text(old))
+            assert (str(out), out.purity) == (str(step.output_params), step.output_params.purity)
+
+
 def test_replay_rejects_a_recorded_input_delta_the_code_does_not_give():
     for step in one_step_per_table_rule():
         if not prop.RULES[step.rule_id].lifted:

@@ -16,6 +16,9 @@ Two walks cover every search, both built by one expansion step
   their passes once the code (and the subcode, for relative facts) is
   proved invariant under a cyclic shift; that proof runs once, before
   the first pass that enumerates more than one batch of messages.
+  Each pass splits a support into a head and a tail, builds the words
+  of the heads and of the tails as tables, a bounded chunk at a time,
+  and weighs each batch of supports from two gathers of those tables.
 
 Inside this module codewords are held as planes, batch axis last, and
 the layout depends on the characteristic p alone:
@@ -28,14 +31,17 @@ the layout depends on the characteristic p alone:
 * p >= 5 (`_DigitPlanes`): one uint8 plane per base-p digit, added
   modulo p.
 
-Both walks split a block of words into two halves, X and Y, and weigh
-the sum set Y + X as the distances from X to -Y, so their heaviest step
-never forms the sums.  Planes unpack to field values only for
+Both walks split a block of words into two halves, X and Y (the head
+and the negated tail words of a pass), and weigh the sum set Y + X as
+the distances from X to -Y, so their heaviest step never forms the
+sums.  Distances come in the narrowest unsigned integer that holds the
+weights they add up to.  Planes unpack to field values only for
 witnesses and for `span_values`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -44,6 +50,7 @@ import numpy as np
 
 from .errors import BudgetError, EaqeccError, PreconditionError
 from .fields import FieldSpec
+from .matrix import MatrixFq, gf_matmul, in_row_space
 
 DEFAULT_ENUM_CAP = 10**8
 DEFAULT_WORK_BUDGET = 10**8
@@ -98,11 +105,13 @@ class _BitPlanes:
     flag digit t equal to 1 and to 2 (P = 2 s), a one-hot trit added in
     six bitwise operations.  Either way a symbol is nonzero, or two
     symbols differ, exactly when some plane has (or differs in) that
-    bit.
+    bit.  Distances come in the narrowest unsigned integer that holds
+    n + 1, n >= m the largest weight a caller forms from them.
     """
 
-    def __init__(self, field: FieldSpec, m: int):
+    def __init__(self, field: FieldSpec, m: int, n: int):
         self.field, self.m = field, m
+        self.counts = np.min_scalar_type(n + 1)
         self.bits = next(b for b in (8, 16, 32, 64) if m <= b or b == 64)
         # distance starts from word 0, so m = 0 keeps one all-zero word
         self.words = max(1, -(-m // self.bits))
@@ -153,7 +162,7 @@ class _BitPlanes:
             acc |= a ^ b
         # summed word by word: a reduction over W costs more than W adds
         counts = np.bitwise_count(acc)
-        out = counts[0].astype(np.intp)
+        out = counts[0].astype(self.counts, copy=False)
         for c in counts[1:]:
             out += c
         return out
@@ -173,11 +182,13 @@ class _BitPlanes:
 class _DigitPlanes:
     """Words of length m over GF(p^s), p >= 5, as one uint8 plane per base-p digit.
 
-    Shape (s, m, *batch); every plane holds reduced digits.
+    Shape (s, m, *batch); every plane holds reduced digits.  Distances
+    come as in `_BitPlanes`.
     """
 
-    def __init__(self, field: FieldSpec, m: int):
+    def __init__(self, field: FieldSpec, m: int, n: int):
         self.field, self.m = field, m
+        self.counts = np.min_scalar_type(n + 1)
 
     def encode(self, vals: np.ndarray) -> np.ndarray:
         digits = self.field.DIGITS[vals.reshape(math.prod(vals.shape[:-1]), self.m)]
@@ -194,7 +205,7 @@ class _DigitPlanes:
         return np.where(X == 0, X, self.field.p - X)
 
     def distance(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        return (A != B).any(axis=0).sum(axis=0)
+        return (A != B).any(axis=0).sum(axis=0, dtype=self.counts)
 
     def values(self, X: np.ndarray) -> np.ndarray:
         out = X[-1]
@@ -204,9 +215,12 @@ class _DigitPlanes:
         return np.ascontiguousarray(np.moveaxis(out, 0, -1))
 
 
-def _planes(field: FieldSpec, m: int):
-    """The plane layout for words of length m: bit planes for p <= 3."""
-    return (_BitPlanes if field.p <= 3 else _DigitPlanes)(field, m)
+def _planes(field: FieldSpec, m: int, n: int | None = None):
+    """The plane layout for words of length m: bit planes for p <= 3.
+
+    Distances may be added up to a weight of n (default m) without wrapping.
+    """
+    return (_BitPlanes if field.p <= 3 else _DigitPlanes)(field, m, m if n is None else n)
 
 
 def _multiples(planes, rows: np.ndarray) -> np.ndarray:
@@ -350,19 +364,26 @@ def span_values(field: FieldSpec, rows: np.ndarray):
 
 @dataclass(eq=False)
 class _SystematicForm:
+    field: FieldSpec
     G: np.ndarray          # RREF'd generator, same row space as the input
     pivots: list           # pivot columns
     fresh: list            # pivots inside this form's fresh region
     deficit: int           # k - len(fresh)
-    planes: object         # plane layout of the non-pivot columns
-    mults: np.ndarray      # planes of every row multiple, restricted to them
     orbit: int             # rotation class of the pivot set (_rotation_class)
     r: int = 0             # message weights enumerated or credited so far
 
+    @functools.cached_property
+    def multiples(self):
+        """(planes, mults): the plane layout of the non-pivot columns, and
+        every row multiple in it; built on the form's first pass, as many
+        forms never get one."""
+        n = self.G.shape[1]
+        nonpiv = sorted(set(range(n)) - set(self.pivots))
+        planes = _planes(self.field, len(nonpiv), n)
+        return planes, _multiples(planes, self.G[:, nonpiv])
+
 
 def _systematic_forms(field: FieldSpec, G: np.ndarray):
-    from .matrix import MatrixFq  # local import; matrix builds on fields only
-
     M = MatrixFq(field, G)
     k, n = G.shape
     remaining = set(range(n))
@@ -374,11 +395,8 @@ def _systematic_forms(field: FieldSpec, G: np.ndarray):
         if not fresh:
             break
         remaining -= set(fresh)
-        nonpiv = [c for c in range(n) if c not in set(pivots)]
-        planes = _planes(field, len(nonpiv))
-        mults = _multiples(planes, R.array[:, nonpiv])
         forms.append(_SystematicForm(
-            R.array, pivots, fresh, k - len(fresh), planes, mults, _rotation_class(pivots, n)))
+            field, R.array, pivots, fresh, k - len(fresh), _rotation_class(pivots, n)))
     return forms
 
 
@@ -390,8 +408,6 @@ def _rotation_class(pivots, n: int) -> int:
 
 def _shift_invariant(field: FieldSpec, R: np.ndarray, pivots) -> bool:
     """Whether the row space of the RREF rows R is closed under a cyclic column shift."""
-    from .matrix import in_row_space  # local import; matrix builds on fields only
-
     R = R[: len(pivots)]
     return bool(in_row_space(np.roll(R, 1, axis=1), R, pivots, field).all())
 
@@ -402,8 +418,6 @@ class _BudgetExhausted(Exception):
 
 class _ISState:
     def __init__(self, field, G, budget, subcode=None):
-        from .matrix import MatrixFq  # local import; matrix builds on fields only
-
         self.field = field
         self.k, self.n = G.shape
         self.budget = budget
@@ -433,7 +447,7 @@ class _ISState:
     def offer_leaves(self, form, supports, wts):
         """Charge the leaves in order and offer each one's words below the threshold.
 
-        wts[j] holds the weights of the words of support j; a leaf is
+        wts[j] holds the weights of the words of supports[j]; a leaf is
         charged before its words are offered, so a budget that runs out
         stops at the leaf where it ran out.
         """
@@ -452,8 +466,6 @@ class _ISState:
         A light word of the subcode must not hide a light word outside
         it, so all of them are encoded and tested in one product each.
         """
-        from .matrix import gf_matmul, in_row_space  # local import; matrix builds on fields only
-
         idx = np.flatnonzero(wts < self.threshold)
         idx = idx[np.argsort(wts[idx], kind="stable")]
         # the flat index enumerates later levels fastest
@@ -468,15 +480,31 @@ class _ISState:
             raise EaqeccError(f"information-set word does not have weight {wts[idx[wrong[0]]]}")
         if self.sub is not None:
             inside = in_row_space(words, *self.sub, self.field)
-        for t, weight in enumerate(int(v) for v in wts[idx]):
+        for t, weight in enumerate(wts[idx].tolist()):
             if weight >= self.threshold:
                 return
             if weight < self.ub:
                 self.ub = weight
-                self.witness = tuple(int(v) for v in words[t])
+                self.witness = tuple(words[t].tolist())
             if self.sub is not None and weight < self.ub_out and not inside[t]:
                 self.ub_out = weight
-                self.witness_out = tuple(int(v) for v in words[t])
+                self.witness_out = tuple(words[t].tolist())
+
+
+@dataclass(eq=False)
+class _Supports:
+    """Message supports as pairs of rows: support j is heads[hi[j]] then tails[ti[j]]."""
+
+    heads: np.ndarray
+    tails: np.ndarray
+    hi: np.ndarray
+    ti: np.ndarray
+
+    def __len__(self):
+        return len(self.hi)
+
+    def __getitem__(self, j):
+        return np.concatenate((self.heads[self.hi[j]], self.tails[self.ti[j]]))
 
 
 def _bz_weight_pass(state: _ISState, form: _SystematicForm, w: int):
@@ -486,6 +514,21 @@ def _bz_weight_pass(state: _ISState, form: _SystematicForm, w: int):
     _BATCH_WORDS words (one support when its leaf alone is larger);
     each support's leaf holds its (q-1)^(w-1) messages, first
     coefficient 1 and later levels varying fastest.
+
+    A support splits into a head, its first w - t columns, and a tail,
+    its last t.  The negated words of every tail, and the words of the
+    heads (level 0 with coefficient 1, plus the other head levels), are
+    built as tables, and a message weighs as much as its head word
+    differs from its tail word: the sums are never built.  In
+    combinations order the tails that follow a head are the tails past
+    its last column, a suffix of all tails, so a batch needs only index
+    arithmetic, two gathers and one weighing.  Memory stays bounded: t
+    is the largest up to w // 2 whose tail table fits in _BATCH_WORDS
+    words, heads are read in chunks of at most _BATCH_WORDS words, and
+    head words and support indices are built for one span of
+    _BATCH_WORDS supports (one batch, when larger) at a time, so a
+    budget that stops a pass early has built little more than its
+    batches need.
     """
     field = state.field
     q = field.order
@@ -499,29 +542,60 @@ def _bz_weight_pass(state: _ISState, form: _SystematicForm, w: int):
         # counts as completed for the lower-bound bookkeeping
         state.charge(1, math.comb(k, w) * leaf)
         return
-    planes, mults = form.planes, form.mults
+    planes, mults = form.multiples
     if leaf * planes.m * field.s > _TENSOR_ELEM_CAP:
         raise BudgetError("weight-pass tensor would exceed the memory cap")
-    supports = itertools.chain.from_iterable(itertools.combinations(range(k), w))
-    batch = max(1, _BATCH_WORDS // leaf) * w
+    t = w // 2
+    while t and math.comb(k - w + t, t) * (q - 1) ** t > _BATCH_WORDS:
+        t -= 1
+    a = w - t
     index = np.min_scalar_type(k)  # small support arrays keep peak memory flat
-    h = (w - 1) // 2
+    # a tail starts past the first head's last column, at column a
+    tails = np.array(list(itertools.combinations(range(a, k), t)), dtype=index)
+    if t:
+        neg = field.NEG[1:q]
+        Y = mults[..., tails[:, -1, None], neg]
+        for level in range(t - 2, -1, -1):
+            Y = _prepend(planes, mults[..., tails[:, level, None], neg], Y)
+    else:
+        Y = mults[..., :1, :1]  # the zero word: 0 times row 0
+    heads = itertools.combinations(range(k - t), a)  # each leaves room for a tail
+    per_chunk = max(1, _BATCH_WORDS // (q - 1) ** (a - 1))
+    batch = max(1, _BATCH_WORDS // leaf)
+    span = max(batch, _BATCH_WORDS)
+    rows = np.min_scalar_type(max(per_chunk, len(tails)))  # row indices into H and tails
     while True:
-        S = np.fromiter(itertools.islice(supports, batch), dtype=index).reshape(-1, w)
-        if not len(S):
+        H = np.fromiter(itertools.chain.from_iterable(itertools.islice(heads, per_chunk)),
+                        dtype=index).reshape(-1, a)
+        if not len(H):
             return
-        # level 0 takes coefficient 1 only.  X holds it plus levels 1..h,
-        # Y the negated levels h+1..w-1 (the zero word when level 0 is the
-        # last), and a message weighs as much as its X word differs from
-        # its Y word: the sums are never built
-        X = mults[..., S[:, 0], 1, None]
-        for level in range(h, 0, -1):
-            X = _prepend(planes, mults[..., S[:, level], 1:], X)
-        Y = mults[..., S[:, -1, None], field.NEG[1:q] if w > 1 else [0]]
-        for level in range(w - 2, h, -1):
-            Y = _prepend(planes, mults[..., S[:, level, None], field.NEG[1:q]], Y)
-        wts = planes.distance(X[..., :, None], Y[..., None, :])
-        state.offer_leaves(form, S, w + wts.reshape(len(S), -1))
+        # head i takes the tails past its last column, the last ones; its
+        # supports end at ends[i], and support g takes tail
+        # g - ends[i] + len(tails)
+        ends = ((len(tails) - tails[:, 0].searchsorted(H[:, -1], "right")).cumsum()
+                if t else np.arange(1, len(H) + 1))
+        total = int(ends[-1])
+        for g0 in range(0, total, span):
+            g1 = min(g0 + span, total)
+            # supports g0..g1 - 1 belong to heads h0..h1 - 1, lead[i] to head h0 + i
+            h0, h1 = ends.searchsorted(g0, "right"), ends.searchsorted(g1 - 1, "right") + 1
+            lead = np.minimum(ends[h0:h1], g1)
+            lead[1:] -= lead[:-1]
+            lead[0] -= g0
+            hi = np.repeat(np.arange(h1 - h0, dtype=rows), lead)
+            ti = np.arange(g0 + len(tails), g1 + len(tails))
+            ti -= np.repeat(ends[h0:h1], lead)
+            ti = ti.astype(rows)
+            X = mults[..., H[h0:h1, 0], 1, None]
+            for level in range(a - 1, 0, -1):
+                X = _prepend(planes, mults[..., H[h0:h1, level], 1:], X)
+            for b in range(0, g1 - g0, batch):
+                hb, tb = hi[b : b + batch], ti[b : b + batch]
+                wts = planes.distance(np.take(X, hb, axis=-2)[..., :, None],
+                                      np.take(Y, tb, axis=-2)[..., None, :])
+                wts += w
+                state.offer_leaves(form, _Supports(H[h0:h1], tails, hb, tb),
+                                   wts.reshape(len(wts), -1))
 
 
 @dataclass

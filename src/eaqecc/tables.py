@@ -18,15 +18,20 @@ from __future__ import annotations
 import hashlib
 import heapq
 import itertools
+import math
 import re
 from dataclasses import dataclass
 
 from . import propagate
 from .construct import EaqeccParams, is_pure_at
 from .distance import DistanceFact
-from .errors import DataIntegrityError, RecordParseError
+from .errors import BudgetError, DataIntegrityError, RecordParseError
 
 DEFAULT_RULES = frozenset({1, 2, 3, 4, 5, 7})
+# the most cells a closure may hold by `closure_cells`.  The bundled
+# qubit table up to n = 64 needs 95,808 (it settles 45,755, in about
+# 0.5 s); one field passes the cap from n = 113 on
+CLOSURE_CELL_CAP = 500_000
 
 
 @dataclass(frozen=True)
@@ -127,6 +132,19 @@ def ingest(lines) -> TableStore:
 # --------------------------------------------------------------------------
 
 
+def closure_cells(roots, n_max) -> int:
+    """An upper bound on the cells of the roots' closure up to length n_max.
+
+    No rule changes q or lowers c, and each keeps kappa >= 0, n >= 1 and
+    kappa + c <= n.  So for roots that pass the structure check, every
+    cell but the longer roots is one (n, kappa, c, pure) per field with
+    n <= n_max: (n_max + 3 choose 3) - 1 triples, twice.
+    """
+    fields = len({rec.q for rec in roots})
+    longer = sum(rec.n > n_max for rec in roots)
+    return longer + 2 * fields * (math.comb(n_max + 3, 3) - 1)
+
+
 def _walk(roots, rules, n_max):
     """Close the union of the roots under the rules in one bucket pass.
 
@@ -136,7 +154,13 @@ def _walk(roots, rules, n_max):
     (q, n, kappa, c, pure) cells: (delta, root_index) reachable in zero or
     more steps, the best delta reachable in one or more steps, and the
     (previous cell, rule) that settled each cell (None at a root).
+    Raises BudgetError, before anything is allocated, when closure_cells
+    exceeds CLOSURE_CELL_CAP.
     """
+    bound = closure_cells(roots, n_max)
+    if bound > CLOSURE_CELL_CAP:
+        raise BudgetError(f"the closure up to n = {n_max} may hold {bound} cells, "
+                          f"past the cap of {CLOSURE_CELL_CAP}")
     transform = propagate.simple_rule_transform
     entries = {rule: propagate.simple_rule(rule) for rule in sorted(rules)}
     steps = [(rule, int(entry.pure_out)) + entry.limits() for rule, entry in entries.items()]

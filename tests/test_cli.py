@@ -384,6 +384,24 @@ def test_propagate_missing_rule_option_exits_2():
         assert code == 2 and f"needs {flag}" in stderr
 
 
+def test_optimized_interpreter_prints_the_same():
+    # invariant checks survive python -O: the machine output of the paper
+    # check and of a distance is byte-identical without assertions
+    g29 = str(DATA / "g29_14_9.txt")
+    for args in (["verify-paper"], ["distance", g29]):
+        outs = [subprocess.run([sys.executable, *flags, "-m", "eaqecc", *args, "--format", "machine"],
+                               capture_output=True, env=package_env())
+                for flags in ([], ["-O"])]
+        assert [p.returncode for p in outs] == [0, 0], args
+        assert outs[0].stdout == outs[1].stdout and outs[0].stdout.startswith(b"#v1\n"), args
+
+
+def test_table_query_past_the_cell_cap_exits_2(capsys):
+    # refused from the closure's cell estimate, before the walk starts
+    assert cli.main(["table", "query", "--bundled", "qubit", "--n", "200"]) == 2
+    assert "past the cap" in capsys.readouterr().err
+
+
 def test_no_assert_statements_in_package():
     # invariant checks must survive python -O
     pkg = pathlib.Path(eaqecc.__file__).parent

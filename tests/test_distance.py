@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from eaqecc.distance import (
 )
 from eaqecc.errors import BudgetError, EaqeccError
 from eaqecc.fields import GF
-from eaqecc.matrix import MatrixFq
+from eaqecc.matrix import MatrixFq, gf_matmul
 from oracles import (
     brute_encode,
     brute_min_distance,
@@ -290,6 +291,112 @@ def test_information_sets_paper_pair():
     assert (str(res.fact), str(res.outside_fact)) == ("11", "11")
     assert "".join(map(str, res.outside_fact.witness)) == "10001000000000040150345700023"
     assert (res.work, res.rounds) == (13059118, (5, 5))
+
+
+def leaf_messages(q, k, supports):
+    """Every message of each support's leaf, in walk order: coefficient 1
+    on the first column, later levels varying fastest."""
+    msgs = []
+    for support in supports:
+        for cfs in itertools.product(range(1, q), repeat=len(support) - 1):
+            m = [0] * k
+            for col, c in zip(support, (1, *cfs)):
+                m[col] = c
+            msgs.append(m)
+    return np.array(msgs, dtype=np.uint8).reshape(-1, k)
+
+
+def spy_offers(monkeypatch):
+    """A list that collects (supports, weights) of every offer_leaves call."""
+    offers, offer = [], distance._ISState.offer_leaves
+
+    def spy(self, form, supports, wts):
+        offers.append(([tuple(int(c) for c in supports[j]) for j in range(len(supports))],
+                       wts.copy()))
+        return offer(self, form, supports, wts)
+
+    monkeypatch.setattr(distance._ISState, "offer_leaves", spy)
+    return offers
+
+
+@pytest.mark.parametrize("batch_words", [0, 64, distance._BATCH_WORDS])
+def test_weight_pass_order_and_charging(monkeypatch, batch_words):
+    # each pass hands offer_leaves every support in combinations order,
+    # in batches of at most _BATCH_WORDS words or one leaf, each leaf
+    # weighed in walk order, and charges them all.  With 64-word batches
+    # the [20,12]_2 passes split their heads over several chunks and
+    # spans; in every pass with a tail, the heads that end past column
+    # k - 1 - t would have no tail and lead no support
+    monkeypatch.setattr(distance, "_BATCH_WORDS", batch_words)
+    offers = spy_offers(monkeypatch)
+    for field, n, k, seed in ((F2, 20, 12, 70), (F3, 10, 6, 71), (F9, 9, 5, 72)):
+        q = field.order
+        form = distance._systematic_forms(field, random_code(
+            field, n, k, np.random.default_rng(seed)).G.array)[0]
+        for w in range(1, k + 1):
+            del offers[:]
+            state = distance._ISState(field, form.G, 10**12)
+            distance._bz_weight_pass(state, form, w)
+            leaf = (q - 1) ** (w - 1)
+            supports = [s for batch, _ in offers for s in batch]
+            assert supports == list(itertools.combinations(range(k), w)), (q, w)
+            assert all(len(batch) * leaf <= max(batch_words, leaf) for batch, _ in offers)
+            assert state.work == math.comb(k, w) * leaf
+            for batch, wts in offers:
+                words = gf_matmul(leaf_messages(q, k, batch), form.G, field)
+                assert np.array_equal(wts.ravel(), (words != 0).sum(axis=1)), (q, w)
+    # a budget that runs out stops at the leaf where it ran out, whatever
+    # the batch: 64 words a leaf over GF(9) (the last form above)
+    del offers[:]
+    state = distance._ISState(F9, form.G, 300)
+    with pytest.raises(distance._BudgetExhausted):
+        distance._bz_weight_pass(state, form, 3)
+    supports = [s for batch, _ in offers for s in batch]
+    assert supports == list(itertools.combinations(range(5), 3))[: len(supports)]
+    assert len(supports) >= 5 and state.work == 5 * 64
+
+
+def test_weight_pass_memory_stays_within_a_few_batches(monkeypatch):
+    # head words and support indices are built a span of supports at a
+    # time.  With 1024-word batches the [400,200]_2 code's weight-3 pass
+    # would need C(200, 2) = 19,900 head words, 20 batches' worth, as one
+    # table; the budget stops that pass in its second batch
+    monkeypatch.setattr(distance, "_BATCH_WORDS", 1024)
+    C = random_code(F2, 400, 200, np.random.default_rng(80))
+    peaks, weight_pass = [], distance._bz_weight_pass
+
+    def spy(state, form, w):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        try:
+            weight_pass(state, form, w)
+        finally:
+            peaks.append((w, tracemalloc.get_traced_memory()[1] - start))
+
+    monkeypatch.setattr(distance, "_bz_weight_pass", spy)
+    budget = 2 * (200 + math.comb(200, 2)) + 1500
+    tracemalloc.start()
+    try:
+        res = information_set_bounds(F2, C.G.array, work_budget=budget)
+    finally:
+        tracemalloc.stop()
+    assert (res.work, res.rounds) == (budget + 1, (2, 2, 0))
+    w, peak = peaks[-1]
+    planes = _planes(F2, 200)  # the 200 columns outside an information set
+    assert w == 3 and peak <= 8 * 1024 * planes.words * planes.dtype.itemsize
+
+
+@pytest.mark.parametrize("field", [F2, F3, GF(5)], ids=lambda f: f"GF{f.order}")
+def test_weights_past_a_byte(field):
+    # every nonzero word of the [600,2] code with rows 1^600 and
+    # 1^300 0^300 weighs at least 300: weights, and the information-set
+    # loop's message weight plus distance, must not wrap in a byte
+    rows = np.zeros((2, 600), dtype=np.uint8)
+    rows[0], rows[1, :300] = 1, 1
+    scan = span_weight_scan(field, rows)
+    assert (scan.min_weight, weight(scan.witness)) == (300, 300)
+    res = information_set_bounds(field, rows)
+    assert res.fact.exact and (res.fact.value, weight(res.fact.witness)) == (300, 300)
 
 
 def test_large_prime_field_enumeration():

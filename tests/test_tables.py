@@ -7,11 +7,14 @@ import shutil
 import pytest
 
 import oracles
-from eaqecc.errors import DataIntegrityError, RecordParseError
+from eaqecc import tables
+from eaqecc.errors import BudgetError, DataIntegrityError, RecordParseError
 from eaqecc.tables import (
+    CLOSURE_CELL_CAP,
     CodeRecord,
     TableStore,
     check_records,
+    closure_cells,
     compress,
     expand,
     ingest,
@@ -206,6 +209,33 @@ def test_one_rule_closure_matches_oracle_on_any_record(rule):
     exp = expand(records, rules={rule}, n_max=7)
     want = oracles.rule_closure([(_cell(r), r.delta) for r in records], {rule}, 7)
     assert {cell: d for cell, (d, _) in exp.cells.items()} == want
+
+
+def test_closure_cell_estimate_bounds_every_closure():
+    # every record that passes the structure check, over two fields and
+    # both purities, closed under all eight rules, fills at most the
+    # estimate; the bundled tables close up to their longest records
+    # under the cap
+    grid = [rec(q, n, kappa, delta, c, purity)
+            for q, n, kappa, c in itertools.product((2, 3), range(1, 7), range(7), range(7))
+            if kappa + c <= n for delta in (1, 3) for purity in ("pure", "unknown")]
+    for records, n_max in [(grid, 8)] + [(_random_records(seed), 7) for seed in range(6)]:
+        exp = expand(records, rules=set(range(1, 9)), n_max=n_max)
+        assert len(exp.cells) <= closure_cells(records, n_max)
+    assert closure_cells([rec(2, 1, 0, 1, 0), rec(3, 4, 1, 2, 0)], 2) == 1 + 2 * 2 * (3 + 6)
+    for which, n_max in (("qubit", 64), ("qutrit", 36)):
+        store = load_bundled(which)
+        assert store.max_n() == n_max and closure_cells(list(store), n_max) <= CLOSURE_CELL_CAP
+
+
+def test_closure_past_the_cap_is_refused(monkeypatch):
+    store = load_bundled("qubit")
+    with pytest.raises(BudgetError, match="past the cap"):
+        query(store, n=200)
+    monkeypatch.setattr(tables, "CLOSURE_CELL_CAP", closure_cells(list(store), 12))
+    assert expand(store, n_max=12).cells
+    with pytest.raises(BudgetError):
+        compress(store, n_max=13)
 
 
 def test_query_prefers_higher_delta_then_smaller_c():

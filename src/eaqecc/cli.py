@@ -10,6 +10,7 @@ verification mismatches, 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -439,12 +440,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    w = Writer(args.format)
     try:
-        return args.func(args, w)
+        status = args.func(args, Writer(args.format))
+        sys.stdout.flush()
+        return status
     except (EaqeccError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader left (`| head`): keep the exit-time flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

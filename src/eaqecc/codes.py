@@ -219,18 +219,17 @@ def min_weight_outside(big: LinearCode, sub: LinearCode, **kw) -> DistanceFact:
 
 
 def _adapted_rows(big: LinearCode, sub: LinearCode) -> np.ndarray:
-    """Rows spanning big with the first sub.k rows spanning sub."""
-    taken = [sub.G.array[i] for i in range(sub.k)]
-    for i in range(big.k):
-        if len(taken) == big.k:
-            break
-        cand = big.G.array[i]
-        trial = MatrixFq(big.field, np.array(taken + [cand], dtype=np.uint8))
-        if trial.rank() == len(taken) + 1:
-            taken.append(cand)
-    if len(taken) != big.k:
+    """Rows spanning big with the first sub.k rows spanning sub.
+
+    Then come the rows of big.G a greedy scan would add: the non-pivots of
+    sub in big's basis (its entries at big's pivots), reduced last to first.
+    """
+    coords = MatrixFq(big.field, sub.G.array[:, big._pivots])
+    _, rank, pivots = coords.rref(pivot_priority=range(big.k - 1, -1, -1))
+    if rank != sub.k:
         raise EaqeccError("subcode rows do not extend to a basis of the code")
-    return np.array(taken, dtype=np.uint8)
+    taken = sorted(set(range(big.k)) - set(pivots))
+    return np.vstack([sub.G.array, big.G.array[taken]])
 
 
 def random_code(field: FieldSpec, n: int, k: int, rng) -> LinearCode:

@@ -3,7 +3,15 @@
 Matrices are immutable wrappers around uint8 numpy arrays whose entries
 are encoded field elements.  Everything here is exact: row reduction,
 rank, kernels, Hermitian transposes, and the congruence transform that
-diagonalizes Hermitian matrices.
+diagonalizes Hermitian matrices.  The kernels make whole-array table
+lookups, not Python loops over entries.  `gf_matmul` gathers all
+products MUL[a_it, b_tj] of a block of rows, shape (rows, k, n), then
+sums over t: XOR for p = 2, integers mod p for prime fields, each base-p
+digit (DIGITS) mod p otherwise; blocks hold a fixed number of entries.
+`MatrixFq.rref` returns a matrix already in RREF as it is; otherwise a
+Python scan of each pivot column finds the pivot and one NEG/MUL/ADD
+lookup clears it from every other row.  `gf_ranks` ranks a stack of
+matrices with one forward elimination over the whole stack.
 
 Text format (one matrix per file)::
 
@@ -24,6 +32,7 @@ from .fields import GF, FieldSpec
 
 
 MAX_TEXT_DIM = 1 << 16  # larger text-format shapes are rejected before allocating
+_GATHER_CAP = 1 << 18  # entries of the (rows, k, n) product table gf_matmul holds at once
 
 
 def check_text_shape(rows: int, cols: int, line_number=None):
@@ -38,12 +47,42 @@ def gf_matmul(A: np.ndarray, B: np.ndarray, field: FieldSpec) -> np.ndarray:
     k2, n = B.shape
     if kk != k2:
         raise PreconditionError(f"shape mismatch {A.shape} @ {B.shape}")
-    acc = np.zeros((m, n), dtype=np.uint8)
-    MUL, ADD = field.MUL, field.ADD
-    for t in range(kk):
-        term = MUL[A[:, t][:, None], B[t, :][None, :]]
-        acc = ADD[acc, term]
-    return acc
+    p, q, s = field.p, field.order, field.s
+    cols = np.arange(kk)[:, None] * q + B  # entry t*q + b of a row of MUL[A] is MUL[a_t, b]
+    out = np.empty((m, n), dtype=np.uint8)
+    step = max(1, _GATHER_CAP // max(1, kk * max(n, q)))
+    for i in range(0, m, step):
+        rows = A[i : i + step]
+        terms = field.MUL.take(rows, axis=0).reshape(len(rows), kk * q).take(cols, axis=1)
+        if p == 2:
+            out[i : i + step] = np.bitwise_xor.reduce(terms, axis=1)
+        elif s == 1:
+            out[i : i + step] = terms.sum(axis=1) % p
+        else:
+            digits = field.DIGITS.T.take(terms, axis=1).sum(axis=2) % p  # (s, rows, n)
+            out[i : i + step] = (p ** np.arange(s) @ digits.reshape(s, -1)).reshape(len(rows), n)
+    return out
+
+
+def gf_ranks(field: FieldSpec, stack: np.ndarray) -> np.ndarray:
+    """Ranks of a (T, m, n) stack of matrices, by one forward elimination of all T.
+
+    Each column's pivot is the first unused row with a nonzero entry there;
+    it clears the column from the other unused rows.  Rank = rows used.
+    """
+    MUL, ADD, NEG, INV = field.MUL, field.ADD, field.NEG, field.INV
+    S = np.asarray(stack, dtype=np.uint8)
+    T, m, n = S.shape
+    used, every = np.zeros((T, m), dtype=bool), np.arange(T)
+    for c in range(n if m else 0):
+        free = (S[:, :, c] != 0) & ~used
+        piv = free.argmax(axis=1)
+        used[every, piv] |= free.any(axis=1)
+        rows = S[every, piv]  # (T, n); where no row is free the column is already clear
+        factors = MUL[NEG[S[:, :, c]], INV[rows[:, c]][:, None]]
+        factors[used] = 0
+        S = ADD[S, MUL[factors[:, :, None], rows[:, None, :]]]
+    return used.sum(axis=1)
 
 
 def in_row_space(words: np.ndarray, R: np.ndarray, pivots, field: FieldSpec) -> np.ndarray:
@@ -163,8 +202,13 @@ class MatrixFq:
         pivot_priority optionally reorders the column scan (used by the
         information-set distance machinery); row operations still apply
         across the full width.  Returns (rref matrix, rank, pivot columns
-        in scan order).
+        in scan order); with the default order, a matrix already in RREF
+        is returned as it is.
         """
+        if pivot_priority is None:
+            reduced = self._reduced_pivots()
+            if reduced is not None:
+                return self, len(reduced), reduced
         R = self.array.copy()
         m, n = R.shape
         MUL, ADD, NEG, INV = self.field.MUL, self.field.ADD, self.field.NEG, self.field.INV
@@ -177,27 +221,33 @@ class MatrixFq:
         for col in order:
             if prow >= m:
                 break
-            hit = -1
-            for r in range(prow, m):
-                if R[r, col]:
-                    hit = r
-                    break
+            column = R[:, col].tolist()
+            hit = next((r for r in range(prow, m) if column[r]), -1)
             if hit < 0:
                 continue
             if hit != prow:
                 R[[prow, hit]] = R[[hit, prow]]
-            pv = R[prow, col]
+                column[prow], column[hit] = column[hit], column[prow]
+            pv, column[prow] = column[prow], 0
             if pv != 1:
-                R[prow] = MUL[INV[pv], R[prow]]
-            factors = R[:, col].copy()
-            factors[prow] = 0
-            nz = np.nonzero(factors)[0]
-            if nz.size:
-                delta = MUL[NEG[factors[nz]][:, None], R[prow][None, :]]
-                R[nz] = ADD[R[nz], delta]
+                R[prow] = MUL[INV[pv]].take(R[prow])
+            if any(column):  # clear the column from every other row at once
+                R = ADD[R, MUL.take(NEG.take(column), axis=0).take(R[prow], axis=1)]
             pivots.append(col)
             prow += 1
         return MatrixFq(self.field, R), prow, pivots
+
+    def _reduced_pivots(self):
+        """Pivot columns if the matrix is in RREF already, else None."""
+        rows, pivots = self.array.tolist(), []
+        for row in rows:  # each row led by a 1, right of the lead above
+            if next(filter(None, row), 0) != 1 or pivots and row.index(1) <= pivots[-1]:
+                break
+            pivots.append(row.index(1))
+        if any(map(any, rows[len(pivots) :])):  # only zero rows follow
+            return None
+        unit = np.count_nonzero(self.array.take(pivots, axis=1)) == len(pivots)
+        return pivots if unit else None
 
     def rank(self) -> int:
         return self.rref()[1]
@@ -216,14 +266,11 @@ class MatrixFq:
         """Basis of the right null space, one vector per row."""
         R, rank, pivots = self.rref()
         n = self.cols
-        free = [c for c in range(n) if c not in set(pivots)]
-        NEG = self.field.NEG
+        pivot_set = set(pivots)
+        free = [c for c in range(n) if c not in pivot_set]
         basis = np.zeros((len(free), n), dtype=np.uint8)
-        Rarr = R.array
-        for bi, f in enumerate(free):
-            basis[bi, f] = 1
-            for i, p in enumerate(pivots):
-                basis[bi, p] = NEG[Rarr[i, f]]
+        basis[np.arange(len(free)), free] = 1
+        basis[:, pivots] = self.field.NEG[R.array[:rank, free]].T
         return MatrixFq(self.field, basis)
 
     # -- text format ----------------------------------------------------------------

@@ -37,7 +37,9 @@ from .errors import (
     RuleNotApplicableError,
 )
 from .fields import GF
-from .matrix import MatrixFq, check_text_shape, gf_matmul, hermitian_congruence_diagonalize
+from .matrix import (
+    MatrixFq, check_text_shape, gf_matmul, gf_ranks, hermitian_congruence_diagonalize,
+)
 
 DEFAULT_SEARCH_BUDGET = 10**4
 DEFAULT_SPACE_CAP = 2**20
@@ -48,6 +50,8 @@ MORE_ENT_VERIFY_CAP = 10**6
 # and otherwise this many congruence transforms (the first one unsampled)
 COLUMN_CLASS_CAP = 10**5
 COLUMN_GRAM_SAMPLES = 8
+# the minimum-entanglement search ranks this many diagonals' Gram matrices at once
+_MIN_ENT_CHUNK = 1 << 10
 
 
 # --------------------------------------------------------------------------
@@ -244,13 +248,6 @@ class MinEntanglementResult:
     exhaustive: bool  # False means c_min is only an upper bound
 
 
-def _rank_with_diagonal(C: LinearCode, diag) -> int:
-    field = C.field
-    scaled = field.MUL[C.G.array, np.asarray(diag, dtype=np.uint8)[None, :]]
-    gram = gf_matmul(scaled, field.CONJ[C.G.array].T, field)
-    return MatrixFq(field, gram).rank()
-
-
 def min_entanglement_search(
     C: LinearCode,
     mode: str = "exhaustive",
@@ -282,13 +279,19 @@ def min_entanglement_search(
                    for _ in range(budget)]
     else:
         raise PreconditionError(f"unknown mode {mode!r}")
+    G, G_dagger = C.G.array, field.CONJ[C.G.array].T
+    trials = iter(trials)
     best = None
-    for diag in trials:
-        r = _rank_with_diagonal(C, diag)
-        if best is None or (r, diag) < best:  # product order ascends, samples may not
-            best = (r, diag)
-            if r == 0:
-                break
+    while chunk := list(itertools.islice(trials, _MIN_ENT_CHUNK)):
+        diags = np.array(chunk, dtype=np.uint8).reshape(len(chunk), C.n)
+        scaled = field.MUL[G, diags[:, None, :]].reshape(-1, C.n)
+        grams = gf_matmul(scaled, G_dagger, field).reshape(len(chunk), C.k, C.k)
+        ranks = gf_ranks(field, grams).tolist()
+        if 0 in ranks:  # the first rank-0 diagonal ends the search, as in a one-by-one scan
+            best = (0, chunk[ranks.index(0)])
+            break
+        low = min(zip(ranks, chunk))  # product order ascends, samples may not
+        best = low if best is None else min(best, low)
     return MinEntanglementResult(best[0], best[1], mode == "exhaustive")
 
 

@@ -2,10 +2,15 @@
 
 Everything here works one scalar at a time through the field's add/mul
 methods, deliberately avoiding the vectorized enumeration machinery the
-package uses, so agreement is meaningful.
+package uses, so agreement is meaningful.  The last three are the plain
+loops the package once ran (row reduction one row at a time, the greedy
+basis extension, one rank per diagonal), kept as references for the
+whole-array versions that replaced them.
 """
 
 import itertools
+
+import numpy as np
 
 
 def brute_encode(field, message, rows):
@@ -114,4 +119,60 @@ def rule_closure(seeds, rules, n_max):
             continue
         best[cell] = delta
         work.extend(rule_successors(cell, delta, rules, n_max))
+    return best
+
+
+def loop_rref(field, array, pivot_priority=None):
+    """(R, rank, pivots) of the row-at-a-time Gauss-Jordan loop."""
+    R = np.array(array, dtype=np.uint8)
+    m, n = R.shape
+    order = list(pivot_priority) if pivot_priority is not None else list(range(n))
+    order += [c for c in range(n) if c not in set(order)]
+    pivots = []
+    for col in order:
+        prow = len(pivots)
+        hit = next((r for r in range(prow, m) if R[r, col]), -1)
+        if hit < 0:
+            continue
+        R[[prow, hit]] = R[[hit, prow]]
+        R[prow] = field.MUL[field.INV[R[prow, col]], R[prow]]
+        for r in range(m):
+            if r != prow and R[r, col]:
+                R[r] = field.ADD[R[r], field.MUL[field.NEG[R[r, col]], R[prow]]]
+        pivots.append(col)
+    return R, len(pivots), pivots
+
+
+def greedy_adapted_rows(big, sub):
+    """sub's rows, then each row of big.G that raises the rank, in order."""
+    taken = [row for row in sub.G.array]
+    for row in big.G.array:
+        trial = np.array(taken + [row], dtype=np.uint8)
+        if loop_rref(big.field, trial)[1] == len(taken) + 1:
+            taken.append(row)
+    return np.array(taken, dtype=np.uint8).reshape(-1, big.n)
+
+
+def min_entanglement_by_diagonal(C, mode="exhaustive", seed=0, budget=10**4):
+    """(c_min, diagonal) with one rank per diagonal, in trial order."""
+    field = C.field
+    nonzero = field.subfield_nonzero_elements()
+    if mode == "exhaustive":
+        trials = itertools.product(nonzero, repeat=C.n)
+    else:
+        rng = np.random.default_rng(seed)
+        trials = [tuple([1] * C.n)]
+        trials += [tuple(int(nonzero[i]) for i in rng.integers(0, len(nonzero), size=C.n))
+                   for _ in range(budget)]
+    G = C.G.array
+    best = None
+    for diag in trials:
+        scaled = [[field.mul(int(g), b) for g, b in zip(row, diag)] for row in G]
+        conj = [[field.conj(int(g)) for g in row] for row in G]
+        gram = brute_matmul(field, scaled, np.array(conj).T.tolist()) if C.k else []
+        r = loop_rref(field, np.array(gram, dtype=np.uint8).reshape(C.k, C.k))[1]
+        if best is None or (r, diag) < best:
+            best = (r, diag)
+            if r == 0:
+                break
     return best

@@ -352,10 +352,17 @@ def _run_battery(tmp_path):
     tetra.write_text(
         LinearCode(F9, np.array([[1, 0, 1, 1], [0, 1, 1, 2]], dtype=np.uint8)).to_text()
     )
+    wide = tmp_path / "wide.txt"  # 2^12 diagonals: several chunks of the exhaustive search
+    wide.write_text(random_code(F9, 12, 7, np.random.default_rng(7)).to_text())
+    g16 = str(data / "g16_5_9.txt")
     cmds = BATTERY + [
         ["min-ent", str(tetra), "--mode", "randomized", "--seed", "7", "--budget", "64",
          "--format", "machine"],
-        ["distance", str(data / "g16_5_9.txt"), "--format", "machine"],
+        ["min-ent", str(wide), "--format", "machine"],
+        ["distance", g16, "--format", "machine"],
+        ["construct", g16, "--format", "machine"],
+        ["propagate", g16, "--rule", "less-ent", "--format", "machine"],
+        ["propagate", g16, "--rule", "same-ent", "--search", "--format", "machine"],
     ]
     blob = b""
     for cmd in cmds:

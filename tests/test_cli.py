@@ -434,3 +434,17 @@ def test_parsers_raise_only_eaqecc_errors(head, lines):
             parse(text)
         except EaqeccError:
             pass
+
+
+@pytest.mark.parametrize("args", [["verify-paper"], ["simple-rule", "--rule", "1", "--record", "3 5 2 3 1"]])
+def test_closed_output_pipe_exits_quietly(args):
+    # `eaqecc verify-paper --format machine | head -3`: the reader leaves early
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "eaqecc", *args, "--format", "machine"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=package_env(),
+    )
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert stderr == b""

@@ -2,11 +2,23 @@ import numpy as np
 import pytest
 
 from eaqecc import distance as dist
-from eaqecc.codes import LinearCode, min_weight_outside, random_code, relative_distance
+from eaqecc.codes import (
+    LinearCode,
+    _adapted_rows,
+    min_weight_outside,
+    random_code,
+    relative_distance,
+)
 from eaqecc.errors import PreconditionError
 from eaqecc.fields import GF
-from eaqecc.matrix import MatrixFq
-from oracles import brute_codewords, brute_min_distance, brute_min_outside, brute_weight_multiset
+from eaqecc.matrix import MatrixFq, gf_matmul
+from oracles import (
+    brute_codewords,
+    brute_min_distance,
+    brute_min_outside,
+    brute_weight_multiset,
+    greedy_adapted_rows,
+)
 
 F2, F3, F4, F9 = GF(2), GF(3), GF(4), GF(9)
 
@@ -225,3 +237,22 @@ def test_dual_weight_outside_hull_at_scale():
     assert allf.exact and allf.value == 5
     wit = np.array(out.witness, dtype=np.uint8)
     assert dual.contains_vector(wit) and not hull.contains_vector(wit)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_adapted_rows_match_the_greedy_scan(q):
+    F = GF(q)
+    rng = np.random.default_rng(70 + q)
+    cases = 0
+    while cases < 60:
+        n = int(rng.integers(1, 10))
+        big = random_code(F, n, int(rng.integers(1, n + 1)), rng)
+        j = int(rng.integers(0, big.k))
+        coeffs = rng.integers(0, q, size=(j, big.k), dtype=np.uint8)
+        if MatrixFq(F, coeffs).rank() < j:
+            continue
+        sub = LinearCode(F, gf_matmul(coeffs, big.G.array, F))
+        rows = _adapted_rows(big, sub)
+        assert np.array_equal(rows, greedy_adapted_rows(big, sub))
+        assert np.array_equal(rows[:j], sub.G.array) and MatrixFq(F, rows).rank() == big.k
+        cases += 1

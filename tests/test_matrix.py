@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
+from eaqecc import matrix
 from eaqecc.errors import PreconditionError, RecordParseError
 from eaqecc.fields import GF
 from eaqecc.matrix import (
     MatrixFq,
     _random_nonsingular,
     gf_matmul,
+    gf_ranks,
     hermitian_congruence_diagonalize,
 )
-from oracles import brute_matmul
+from oracles import brute_matmul, loop_rref
+from test_fields import PRIME_POWERS
 
 F9 = GF(9)
 F4 = GF(4)
@@ -80,13 +83,65 @@ def test_kernel_annihilates():
             assert not prod.any()
 
 
-def test_matmul_against_oracle():
+def test_matmul_against_oracle(monkeypatch):
     rng = np.random.default_rng(4)
-    for F in (F3, F4, F9):
-        A = rng.integers(0, F.order, size=(3, 4), dtype=np.uint8)
-        B = rng.integers(0, F.order, size=(4, 2), dtype=np.uint8)
-        got = gf_matmul(A, B, F)
-        assert got.tolist() == brute_matmul(F, A.tolist(), B.tolist())
+    for q in [q for q in PRIME_POWERS if q <= 27] + [256]:
+        F = GF(q)
+        shapes = [(3, 4, 2), (1, 1, 1), (0, 3, 2), (3, 0, 2), (3, 2, 0), (0, 0, 0), (5, 7, 6)]
+        if q >= 64:  # a row count past the block cap, cheap to check by brute force
+            shapes.append((matrix._GATHER_CAP // (2 * q) + 2, 2, 1))
+        for cap in (matrix._GATHER_CAP, 40):  # 40 entries: several blocks even for small shapes
+            monkeypatch.setattr(matrix, "_GATHER_CAP", cap)
+            for m, k, n in shapes:
+                A = rng.integers(0, q, size=(m, k), dtype=np.uint8)
+                B = rng.integers(0, q, size=(k, n), dtype=np.uint8)
+                got = gf_matmul(A, B, F)
+                want = np.array(brute_matmul(F, A.tolist(), B.tolist()) if m and k else
+                                np.zeros((m, n)), dtype=np.uint8).reshape(m, n)
+                assert got.dtype == np.uint8 and np.array_equal(got, want), (q, cap, m, k, n)
+
+
+def _rref_cases(F, rng):
+    """Random, rank-deficient, zero-row and already-reduced matrices."""
+    for m, n in [(1, 1), (3, 5), (5, 3), (4, 4), (6, 9), (0, 4), (3, 0)]:
+        A = rng.integers(0, F.order, size=(m, n), dtype=np.uint8)
+        yield A
+        if m >= 2:
+            B = A.copy()
+            B[-1] = F.ADD[B[0], F.MUL[rng.integers(1, F.order), B[1]]]  # dependent row
+            B[m // 2] = 0  # zero row in the middle
+            yield B
+        yield loop_rref(F, A)[0]  # already reduced, zero rows last
+    yield np.zeros((3, 4), dtype=np.uint8)
+    yield np.array([[0, 1, 0], [1, 0, 0]], dtype=np.uint8)  # unit columns, falling leads
+    yield np.array([[1, 1, 0], [0, 1, 0]], dtype=np.uint8)  # rising leads, not unit columns
+    yield np.array([[0, 0, 0], [1, 0, 0]], dtype=np.uint8)  # zero row first
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 25, 27])
+def test_rref_matches_row_at_a_time_loop(q):
+    F = GF(q)
+    rng = np.random.default_rng(q)
+    for A in _rref_cases(F, rng):
+        n = A.shape[1]
+        priorities = [None, list(rng.permutation(n)), list(range(n - 1, -1, -1))[: n // 2]]
+        for priority in priorities:
+            R, rank, pivots = MatrixFq(F, A).rref(pivot_priority=priority)
+            R0, rank0, pivots0 = loop_rref(F, A, priority)
+            assert np.array_equal(R.array, R0) and rank == rank0 and pivots == pivots0
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 16])
+def test_gf_ranks_match_single_ranks(q):
+    F = GF(q)
+    rng = np.random.default_rng(20 + q)
+    for T, m, n in [(0, 3, 3), (5, 0, 0), (7, 1, 1), (40, 3, 3), (40, 5, 5), (30, 4, 6), (30, 6, 4)]:
+        stack = rng.integers(0, q, size=(T, m, n), dtype=np.uint8)
+        if m >= 2:
+            stack[::2, -1] = stack[::2, 0]  # rank-deficient half
+            stack[::3, :, 0] = 0  # a cleared column
+        stack[::5] = 0
+        assert gf_ranks(F, stack).tolist() == [loop_rref(F, S)[1] for S in stack]
 
 
 def test_congruence_identity_matrix():

@@ -11,6 +11,7 @@ from eaqecc import propagate as prop
 from eaqecc.codes import LinearCode, random_code
 from eaqecc.construct import hermitian_construct
 from eaqecc.errors import (
+    BudgetError,
     EaqeccError,
     InvalidFieldError,
     PreconditionError,
@@ -385,6 +386,29 @@ def test_min_entanglement_diagonals_lie_in_the_base_subfield():
         for diag in itertools.product(units, repeat=C.n)
     )
     assert res.c_min == brute
+
+
+def test_min_entanglement_matches_one_rank_per_diagonal():
+    # exhaustive, first rank 0 at (1, 2, 1, 2, 1, ...): trial 1280, past the first chunk
+    w = 3  # norm 2 in GF(9)
+    C = LinearCode(F9, np.array([[1, 1] + [0] * 10, [0, 0, w, w] + [0] * 8], dtype=np.uint8))
+    res = prop.min_entanglement_search(C)
+    assert (res.c_min, res.diagonal, res.exhaustive) == (0, (1, 2, 1, 2) + (1,) * 8, True)
+    assert res.diagonal == oracles.min_entanglement_by_diagonal(C)[1]
+    assert 1280 > prop._MIN_ENT_CHUNK
+    rng = np.random.default_rng(68)
+    for q, n, k in [(9, 6, 2), (9, 7, 3), (16, 4, 2), (4, 5, 2), (9, 5, 0)]:
+        C = random_code(GF(q), n, k, rng)
+        res = prop.min_entanglement_search(C)
+        assert (res.c_min, res.diagonal) == oracles.min_entanglement_by_diagonal(C)
+    # randomized over several chunks: k > n/2 rules out rank 0, so the minimum ties
+    C = random_code(F9, 6, 4, rng)
+    res = prop.min_entanglement_search(C, mode="randomized", seed=5, budget=1500)
+    want = oracles.min_entanglement_by_diagonal(C, mode="randomized", seed=5, budget=1500)
+    assert (res.c_min, res.diagonal, res.exhaustive) == (*want, False)
+    assert res.c_min > 0 and res.diagonal != (1,) * 6
+    with pytest.raises(BudgetError):
+        prop.min_entanglement_search(C, cap=2**6 - 1)
 
 
 def test_min_entanglement_modes_and_caps():

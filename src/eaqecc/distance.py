@@ -171,7 +171,8 @@ class _BitPlanes:
         """(P, W, *batch) planes -> (*batch, m) field values."""
         out = 0
         for plane, v in zip(X, self.plane_values):
-            raw = np.ascontiguousarray(np.moveaxis(plane, 0, -1), dtype=self.packed).view(np.uint8)
+            raw = np.ascontiguousarray(plane.transpose(*range(1, plane.ndim), 0), dtype=self.packed)
+            raw = raw.view(np.uint8)
             # unpacked flat, as encode packs
             bits = np.unpackbits(raw.reshape(-1), bitorder="little")
             bits = bits.reshape(raw.shape[:-1] + (8 * raw.shape[-1],))
@@ -212,7 +213,7 @@ class _DigitPlanes:
         for t in range(self.field.s - 2, -1, -1):
             # every partial value is below the final one, so uint8 never wraps
             out = out * self.field.p + X[t]
-        return np.ascontiguousarray(np.moveaxis(out, 0, -1))
+        return np.ascontiguousarray(out.transpose(*range(1, out.ndim), 0))
 
 
 def _planes(field: FieldSpec, m: int, n: int | None = None):

@@ -6,9 +6,11 @@ the diagonal equivalence minimizing the ebit count, and the solution
 space of the self-orthogonality-equivalence system.  A column raises the
 hull by one exactly when the congruence D with D G G^dagger D^dagger =
 Diag(I_s, 0) sends it to (y, 0) with sum_i N(y_i) = -1.  The column
-extension takes its default and sampled columns from such congruences,
-screens every column class by that test when it searches them all, and
-builds codes only for the columns it scores.
+extension takes its default and sampled columns from such congruences
+and screens every column class by that test when it searches them all.
+Such a complete search scores each column x without building a code:
+the extension has distance d + 1 exactly when m . x != 0 for every
+message m of a minimum-weight word, and d otherwise.
 
 Quantum layer: the three entanglement rules (more / same / less) that
 lift those transforms through the Hermitian construction, plus the
@@ -44,7 +46,7 @@ from .matrix import (
 DEFAULT_SEARCH_BUDGET = 10**4
 DEFAULT_SPACE_CAP = 2**20
 # more_ent steps and replay enumerate the ingredient's dual while q^(n-k) stays below
-# this, and the column search each candidate while q^k does
+# this, and the column search the extensions it builds while q^k does
 MORE_ENT_VERIFY_CAP = 10**6
 # the column search tries every column while it has at most this many classes,
 # and otherwise this many congruence transforms (the first one unsampled)
@@ -146,14 +148,14 @@ def _sampled_columns(C: LinearCode, seed: int):
                 yield field.MUL[alpha, D.inverse().array[:, position]]
 
 
-def _class_columns(C: LinearCode, norm_reps):
+def _class_column_blocks(C: LinearCode, norm_reps):
     """Every hull-raising column: one per scalar class and norm representative.
 
     Appending x adds x x^dagger to G G^dagger.  With D G G^dagger D^dagger
     = Diag(I_s, 0) and y = D x that is Diag(I_s, 0) + y y^dagger, whose
     rank is s - 1 exactly when y vanishes past its first s entries and
     their norms sum to -1.  Classes come in span-walk order, each scaled
-    by the representatives in turn.
+    by the representatives in turn, as one (B, k) array per walk block.
     """
     field, k = C.field, C.k
     D, s = hermitian_congruence_diagonalize(C.gram_hermitian())
@@ -162,30 +164,84 @@ def _class_columns(C: LinearCode, norm_reps):
         X = field.MUL[reps, classes[:, None, :]].reshape(-1, k)
         Y = gf_matmul(X, D.array.T, field)
         ok = ~Y[:, s:].any(axis=1) & (hermitian_self_product(field, Y[:, :s]) == field.neg(1))
-        yield from X[ok]
+        yield X[ok]
+
+
+def _class_columns(C: LinearCode, norm_reps):
+    """The columns of `_class_column_blocks`, one at a time."""
+    for X in _class_column_blocks(C, norm_reps):
+        yield from X
+
+
+def _min_weight_messages(C: LinearCode):
+    """(d, M): the minimum distance of C and one message per scalar class
+    of its words of weight d, as the rows of M.
+
+    One scalar-class walk of span([I_k | G]) carries each message m
+    beside its codeword m G.
+    """
+    k = C.k
+    d, M = C.n + 1, []
+    for _, vals in dist.span_values(C.field, np.hstack([np.eye(k, dtype=np.uint8), C.G.array])):
+        wts = np.count_nonzero(vals[:, k:], axis=1)
+        low = int(wts.min())
+        if low < d:
+            d, M = low, []
+        if low == d:
+            M.append(vals[wts == low, :k])
+    return d, np.concatenate(M)
 
 
 def _best_column(C: LinearCode, seed: int):
     """First hull-raising column whose extension has the greatest distance.
 
     While the columns form at most COLUMN_CLASS_CAP classes (times norm
-    representatives) all of them are tried, so the search is complete;
-    beyond that the sampled columns are.  A candidate's distance need only
-    show whether it beats the best so far (`min_distance`'s target).
+    representatives) all of them are scored, so the search is complete.
+    Appending x gives the words (m G, m . x), so d(C | x) is d(C) + 1
+    exactly when m . x != 0 for every message m of a minimum-weight word
+    of C, and d(C) otherwise.  One walk of C lists those messages, one
+    product scores each block of columns, and only the chosen column's
+    extension is built, its distance checked against the score.  Beyond
+    the cap the sampled columns are tried (`_best_sampled_column`).
     """
     field = C.field
-    d0 = C.min_distance(enum_cap=MORE_ENT_VERIFY_CAP, work_budget=CONSTRUCT_WORK_BUDGET)
     # scaling the new column by lambda multiplies its Gram contribution by
     # norm(lambda): distance is scale-invariant but the hull is not, so scan
     # one representative per norm value on top of each scalar class
     norm_reps = [field.solve_norm(t) for t in field.subfield_nonzero_elements()]
     classes = (field.order**C.k - 1) // (field.order - 1) * len(norm_reps)
-    if classes <= COLUMN_CLASS_CAP:
-        columns = _class_columns(C, norm_reps)
-    else:
-        columns = _sampled_columns(C, seed)
+    if classes > COLUMN_CLASS_CAP:
+        return _best_sampled_column(C, seed)
+    d0, M0 = _min_weight_messages(C)
     best = None
-    for col in columns:
+    for X in _class_column_blocks(C, norm_reps):
+        if not len(X):
+            continue
+        gains = np.flatnonzero(gf_matmul(M0, X.T, field).all(axis=0))
+        if gains.size:
+            best = (d0 + 1, X[gains[0]])
+            break
+        if best is None:
+            best = (d0, X[0])
+    if best is None:
+        raise RuleNotApplicableError("no hull-raising column exists")
+    d = extend_with_column(C, best[1]).min_distance(
+        enum_cap=MORE_ENT_VERIFY_CAP, work_budget=CONSTRUCT_WORK_BUDGET).value
+    if d != best[0]:
+        raise EaqeccError(f"column extension has distance {d}, scored {best[0]}")
+    return best[1]
+
+
+def _best_sampled_column(C: LinearCode, seed: int):
+    """First sampled column whose extension has the greatest distance.
+
+    Each candidate's extension is built and its distance computed, which
+    need only show whether it beats the best so far (`min_distance`'s
+    target).
+    """
+    d0 = C.min_distance(enum_cap=MORE_ENT_VERIFY_CAP, work_budget=CONSTRUCT_WORK_BUDGET)
+    best = None
+    for col in _sampled_columns(C, seed):
         fact = extend_with_column(C, col).min_distance(
             enum_cap=MORE_ENT_VERIFY_CAP, work_budget=CONSTRUCT_WORK_BUDGET,
             target=(d0.value if best is None else best[0]) + 1,
@@ -275,8 +331,9 @@ def min_entanglement_search(
         # the all-ones diagonal is the do-nothing baseline; always include it so
         # a sampled bound never exceeds rank(G G^dagger)
         trials = [tuple([1] * C.n)]
-        trials += [tuple(int(nonzero[i]) for i in rng.integers(0, len(nonzero), size=C.n))
-                   for _ in range(budget)]
+        # one (budget, n) draw reads the generator's stream as budget draws of n do
+        draws = rng.integers(0, len(nonzero), size=(budget, C.n))
+        trials += map(tuple, np.array(nonzero)[draws].tolist())
     else:
         raise PreconditionError(f"unknown mode {mode!r}")
     G, G_dagger = C.G.array, field.CONJ[C.G.array].T

@@ -2,15 +2,18 @@
 
 Everything here works one scalar at a time through the field's add/mul
 methods, deliberately avoiding the vectorized enumeration machinery the
-package uses, so agreement is meaningful.  The last three are the plain
+package uses, so agreement is meaningful.  The last four are the plain
 loops the package once ran (row reduction one row at a time, the greedy
-basis extension, one rank per diagonal), kept as references for the
-whole-array versions that replaced them.
+basis extension, one rank per diagonal, one extension and scan per
+hull-raising column), kept as references for the versions that
+replaced them.
 """
 
 import itertools
 
 import numpy as np
+
+from eaqecc.propagate import extend_with_column
 
 
 def brute_encode(field, message, rows):
@@ -175,4 +178,20 @@ def min_entanglement_by_diagonal(C, mode="exhaustive", seed=0, budget=10**4):
             best = (r, diag)
             if r == 0:
                 break
+    return best
+
+
+def best_column_by_distance(C, columns):
+    """(column, distance): the first of `columns` whose extension has the
+    greatest minimum distance, one extension and one span scan per
+    candidate, stopping at the first that reaches d(C) + 1 (the loop the
+    column search once ran)."""
+    d0 = C.min_distance().value
+    best = None
+    for col in columns:
+        d = extend_with_column(C, col).min_distance().value
+        if best is None or d > best[1]:
+            best = (tuple(int(v) for v in col), d)
+        if d == d0 + 1:
+            break
     return best

@@ -354,6 +354,8 @@ def _run_battery(tmp_path):
     )
     wide = tmp_path / "wide.txt"  # 2^12 diagonals: several chunks of the exhaustive search
     wide.write_text(random_code(F9, 12, 7, np.random.default_rng(7)).to_text())
+    small = tmp_path / "small.txt"  # [8,4]_9: both column searches score every class
+    small.write_text(random_code(F9, 8, 4, np.random.default_rng(4)).to_text())
     g16 = str(data / "g16_5_9.txt")
     cmds = BATTERY + [
         ["min-ent", str(tetra), "--mode", "randomized", "--seed", "7", "--budget", "64",
@@ -363,6 +365,8 @@ def _run_battery(tmp_path):
         ["construct", g16, "--format", "machine"],
         ["propagate", g16, "--rule", "less-ent", "--format", "machine"],
         ["propagate", g16, "--rule", "same-ent", "--search", "--format", "machine"],
+        ["propagate", str(small), "--rule", "extend-column", "--search", "--format", "machine"],
+        ["propagate", str(small), "--rule", "same-ent", "--search", "--format", "machine"],
     ]
     blob = b""
     for cmd in cmds:

@@ -198,6 +198,32 @@ def test_extend_column_search_over_gf16():
     assert (C2.n, C2.k, C2.hull_dim) == (7, 2, C.hull_dim + 1)
 
 
+def test_best_column_matches_the_per_candidate_loop():
+    """The one-walk scoring picks the column the loop of one extension and
+    one scan per candidate picked, over codes with several minimum-weight
+    classes, codes where no column gains, and codes whose first nonempty
+    block of columns gains nothing while a later block does."""
+    rng = np.random.default_rng(1)
+    several = no_gain = later_block = 0
+    for q, n, k, count in [(4, 5, 2, 40), (4, 6, 3, 30), (4, 9, 4, 6), (9, 5, 2, 12),
+                           (9, 7, 3, 8), (16, 5, 2, 8), (16, 7, 3, 4), (25, 5, 2, 8)]:
+        F = GF(q)
+        reps = [F.solve_norm(t) for t in F.subfield_nonzero_elements()]
+        for _ in range(count):
+            C = random_code(F, n, k, rng)
+            if not C.hull_dim < min(C.k, C.n - C.k):
+                continue
+            col, d = oracles.best_column_by_distance(C, prop._class_columns(C, reps))
+            assert tuple(int(v) for v in prop._best_column(C, 0)) == col
+            d0 = brute_min_distance(F, C.G.array)
+            words = oracles.brute_codewords(F, C.G.array)
+            several += sum(oracles.weight(w) == d0 for w in words) > q - 1
+            no_gain += d == d0
+            blocks = [set(map(tuple, X.tolist())) for X in prop._class_column_blocks(C, reps)]
+            later_block += col not in next(b for b in blocks if b)
+    assert several >= 10 and no_gain >= 3 and later_block >= 2
+
+
 # -- row+column extension ------------------------------------------------------------
 
 
@@ -407,6 +433,13 @@ def test_min_entanglement_matches_one_rank_per_diagonal():
     want = oracles.min_entanglement_by_diagonal(C, mode="randomized", seed=5, budget=1500)
     assert (res.c_min, res.diagonal, res.exhaustive) == (*want, False)
     assert res.c_min > 0 and res.diagonal != (1,) * 6
+    # the samples come from one (budget, n) draw, the oracle's from budget draws of n
+    for q, n, k in [(9, 6, 2), (16, 5, 2), (4, 5, 2), (25, 4, 2)]:
+        C2 = random_code(GF(q), n, k, rng)
+        for seed, budget in [(0, 0), (1, 1), (2, 37), (3, 1100)]:
+            res = prop.min_entanglement_search(C2, mode="randomized", seed=seed, budget=budget)
+            want = oracles.min_entanglement_by_diagonal(C2, "randomized", seed, budget)
+            assert (res.c_min, res.diagonal) == want
     with pytest.raises(BudgetError):
         prop.min_entanglement_search(C, cap=2**6 - 1)
 

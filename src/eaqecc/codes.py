@@ -12,7 +12,7 @@ import numpy as np
 
 from . import distance as dist
 from .distance import DistanceFact
-from .errors import EaqeccError, InvalidFieldError, PreconditionError
+from .errors import BudgetError, EaqeccError, InvalidFieldError, PreconditionError
 from .fields import FieldSpec
 from .matrix import MatrixFq, gf_matmul, in_row_space
 
@@ -77,11 +77,18 @@ class LinearCode:
         return self._cache["dual"]
 
     def hermitian_dual(self) -> "LinearCode":
-        """Vectors x with sum_i x_i c_i^q = 0 for every codeword c."""
+        """Vectors x with sum_i x_i c_i^q = 0 for every codeword c.
+
+        The dual's own dual is this code, and the two share one hull, so
+        the dual's cache starts with both.
+        """
         if "hdual" not in self._cache:
             self.field._require_square()
-            ker = self.G.conj().kernel()
-            self._cache["hdual"] = LinearCode(self.field, ker)
+            dual = LinearCode(self.field, self.G.conj().kernel())
+            dual._cache["hdual"] = self
+            if "hull" in self._cache:
+                dual._cache["hull"] = self._cache["hull"]
+            self._cache["hdual"] = dual
         return self._cache["hdual"]
 
     def hermitian_hull(self):
@@ -98,6 +105,8 @@ class LinearCode:
             if rank != basis.rows:
                 raise EaqeccError("hull basis rows are dependent")
             self._cache["hull"] = (R, rank)
+            if "hdual" in self._cache:
+                self._cache["hdual"]._cache.setdefault("hull", self._cache["hull"])
         return self._cache["hull"]
 
     @property
@@ -191,26 +200,43 @@ def relative_distance(
 def _distance_facts(code: LinearCode, sub, enum_cap, work_budget, target):
     """(fact outside sub, fact for the whole code): the one engine choice.
 
-    Scalar-class enumeration while q^k <= enum_cap; beyond that the
-    information-set loop, until exact, the optional target lower bound
-    is certified, or the work budget runs out.  With sub None there is
-    no subcode and the first fact is None; a zero-dimensional sub still
-    gets its own fact.
+    Past enum_cap on q^k, the information-set loop runs until exact, the
+    optional target lower bound is certified, or the work budget runs
+    out.  Within it the facts are exact, from the engine estimated the
+    faster (`dist.information_sets_if_cheaper`): scalar-class
+    enumeration, or the information-set loop when its estimated messages
+    also fit the work budget.  The estimate bounds the answer by the
+    lightest generator row outside sub, a word of the measured set.  A
+    chosen information-set run ignores target and gets the estimated
+    messages as its budget; should it stop short of exact anyway (a code
+    whose forms have larger deficits than generic ones), enumeration
+    gives the facts, so the worst case costs about twice enumeration.
+    With sub None there is no subcode and the first fact is None; a
+    zero-dimensional sub still gets its own fact.
     """
     field = code.field
-    if field.order**code.k <= enum_cap:
-        if sub is None:
-            scan = dist.span_weight_scan(field, code.G.array, cap=enum_cap)
-            return None, DistanceFact(scan.min_weight, "exact", "enumeration", scan.witness)
-        rows = _adapted_rows(code, sub)
-        scan = dist.span_weight_scan(field, rows, sub_rows=sub.k, cap=enum_cap)
-        out = DistanceFact(scan.outside_min, "exact", "enumeration", scan.outside_witness)
-        return out, DistanceFact(scan.min_weight, "exact", "enumeration", scan.witness)
-    res = dist.information_set_bounds(
-        field, code.G.array, target=target, work_budget=work_budget,
-        subcode=None if sub is None else sub.G.array,
-    )
-    return res.outside_fact, res.fact
+    subcode = None if sub is None else sub.G.array
+    if field.order**code.k > enum_cap:
+        res = dist.information_set_bounds(
+            field, code.G.array, target=target, work_budget=work_budget, subcode=subcode)
+        return res.outside_fact, res.fact
+    sub_rows = 0 if sub is None else sub.k
+    rows = code.G.array if sub is None else _adapted_rows(code, sub)
+    upper = int(np.count_nonzero(rows[sub_rows:], axis=1).min())
+    messages = dist.information_sets_if_cheaper(field.order, code.n, code.k, upper)
+    if messages is not None and messages <= work_budget:
+        try:
+            res = dist.information_set_bounds(
+                field, code.G.array, work_budget=messages, subcode=subcode)
+        except BudgetError:  # a weight pass past the tensor cap
+            res = None
+        if res and res.fact.exact and (sub is None or res.outside_fact.exact):
+            return res.outside_fact, res.fact
+    scan = dist.span_weight_scan(field, rows, sub_rows=sub_rows, cap=enum_cap)
+    whole = DistanceFact(scan.min_weight, "exact", "enumeration", scan.witness)
+    if sub is None:
+        return None, whole
+    return DistanceFact(scan.outside_min, "exact", "enumeration", scan.outside_witness), whole
 
 
 def min_weight_outside(big: LinearCode, sub: LinearCode, **kw) -> DistanceFact:

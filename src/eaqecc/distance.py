@@ -5,13 +5,17 @@ Two walks cover every search, both built by one expansion step
 
 * the scalar-class walk (`span_blocks`) visits every codeword up to
   scalar multiples in a fixed order.  It serves the exact scan
-  (`span_weight_scan`, while q^k stays below the enumeration cap) and,
-  as value blocks (`span_values`), the word and column searches of the
+  (`span_weight_scan`, within the enumeration cap on q^k) and, as value
+  blocks (`span_values`), the word and column searches of the
   propagation rules and the all-nonzero search of the puncture space;
 * the by-weight walk of the information-set loop enumerates several
   systematic generator matrices over (mostly) disjoint pivot sets by
   message weight, tightening a lower bound while low-weight witnesses
   tighten the upper bound, until the two meet or a budget runs out.
+  Its pass order and lower-bound rule (`_next_form`, `_lower_bound`)
+  also drive the cost estimate of `information_sets_if_cheaper`, which
+  decides, within the enumeration cap, whether this walk or the scan
+  settles a fact sooner.
   Forms whose pivot sets are cyclic rotations of each other share
   their passes once the code (and the subcode, for relative facts) is
   proved invariant under a cyclic shift; that proof runs once, before
@@ -59,6 +63,23 @@ _BLOCK_TARGET = 1 << 16
 # memory and gain no measurable speed
 _BATCH_WORDS = 1 << 15
 _TENSOR_ELEM_CAP = 1 << 28
+# The cost model of `information_sets_if_cheaper`, in microseconds, on 2
+# vCPUs (CPython 3.11, numpy 2.4).  The per-class and per-message costs
+# are the rates of large runs: scans of 4 * 10^5 to 5 * 10^6 classes
+# over GF(2) to GF(25) took 2.0-5.9 ns a class, and information-set runs
+# of 2.6 * 10^5 and 4.6 * 10^7 messages 9.0 and 7.7 ns a message.  The
+# fixed costs, rounded, come from 723 exact facts with both engines timed
+# on each (best of 3-5): the distance calls of two construct-propagate
+# rounds (seeds 11 and 5) and 270 random codes over nine fields,
+# 6 <= n <= 40.  Enumeration's is the median of the time left after the
+# classes, and information sets' a least-squares fit of what is left
+# after the messages.
+_ENUM_CALL_US = 200        # per scan: set-up, the first blocks, witnesses
+_ENUM_CLASS_US = 0.0035    # per scalar class walked
+_IS_CALL_US = 210          # per run: state, subcode RREF, result
+_IS_FORM_US = 21           # per systematic form: its RREF
+_IS_PASS_US = 116          # per weight pass read: plane tables, batches
+_IS_MESSAGE_US = 0.009     # per message read
 
 
 @dataclass(frozen=True)
@@ -278,7 +299,7 @@ def span_weight_scan(
     planes = _planes(field, n)
     best = {}  # "all", and "out" with a subcode: (weight, witness planes)
     scanned = 0
-    for lead, X, Y in span_blocks(field, rows[order]):
+    for lead, X, Y in span_blocks(planes, rows[order]):
         # Y[i] + X[j] weighs as much as X[j] differs from -Y[i]
         wts = planes.distance(X[..., None, :], planes.neg(Y)[..., :, None]).ravel()
         t = int(np.argmin(wts))
@@ -310,20 +331,22 @@ def _block_split(q: int, count: int):
     return b
 
 
-def span_blocks(field: FieldSpec, rows: np.ndarray):
+def span_blocks(planes, rows: np.ndarray):
     """Yield (lead, X, Y) over span(rows), one word per scalar class.
 
     The block's words are Y[..., i] + X[..., j], i varying slowest, in
-    the plane layout `_planes(field, n)`; X and Y hold words batch axis
-    last.  Each word is rows[lead] + sum_{r > lead} c_r rows[r]; leads
-    ascend and, within a lead, the tails (c_{lead+1}, ..., c_{k-1})
-    come in lexicographic order.
+    the caller's plane layout `planes` (`_planes(field, n)`, which also
+    weighs them); X and Y hold words batch axis last.  Each word is
+    rows[lead] + sum_{r > lead} c_r rows[r]; leads ascend and, within a
+    lead, the tails (c_{lead+1}, ..., c_{k-1}) come in lexicographic
+    order.
     """
-    k, n = rows.shape
-    q = field.order
-    planes = _planes(field, n)
+    k = len(rows)
+    if not k:
+        return
+    q = planes.field.order
     mults = _multiples(planes, rows)
-    zero = planes.encode(np.zeros((1, n), dtype=np.uint8))
+    zero = mults[..., 0, :1]  # 0 times row 0
 
     def span(rs):
         # the span of rows rs, in lexicographic order of their coefficients
@@ -354,7 +377,7 @@ def span_blocks(field: FieldSpec, rows: np.ndarray):
 def span_values(field: FieldSpec, rows: np.ndarray):
     """span_blocks with each block as (B, n) encoded field elements."""
     planes = _planes(field, rows.shape[1])
-    for lead, X, Y in span_blocks(field, rows):
+    for lead, X, Y in span_blocks(planes, rows):
         yield lead, planes.values(_prepend(planes, Y, X))
 
 
@@ -541,7 +564,7 @@ def _bz_weight_pass(state: _ISState, form: _SystematicForm, w: int):
         # no codeword from this pass can beat the current upper bound
         # (its weight is at least the message weight); the pass still
         # counts as completed for the lower-bound bookkeeping
-        state.charge(1, math.comb(k, w) * leaf)
+        state.charge(1, _pass_size(q, k, w))
         return
     planes, mults = form.multiples
     if leaf * planes.m * field.s > _TENSOR_ELEM_CAP:
@@ -599,6 +622,78 @@ def _bz_weight_pass(state: _ISState, form: _SystematicForm, w: int):
                                    wts.reshape(len(wts), -1))
 
 
+def _pass_size(q: int, k: int, w: int) -> int:
+    """Messages of weight w on one form: supports times leaves, first coefficient 1."""
+    return math.comb(k, w) * (q - 1) ** (w - 1)
+
+
+def _step_cost(q: int, k: int, form) -> int:
+    """Messages a form enumerates until it next raises the lower bound."""
+    w_gain = max(form.r + 1, form.deficit)
+    return sum(_pass_size(q, k, w) for w in range(form.r + 1, w_gain + 1))
+
+
+def _lower_bound(forms, k: int, n: int, threshold: int) -> int:
+    """The minimum weight that the forms' enumerated weights prove.
+
+    A word missed by a form that enumerated weights up to r has at least
+    r + 1 nonzeros on its k pivots, of which at least r + 1 - deficit
+    are fresh, and fresh columns of different forms are disjoint.  A
+    form enumerated up to k has seen every word, so nothing lies below
+    the threshold, the lightest word found.
+    """
+    lb = sum(max(0, f.r + 1 - f.deficit) for f in forms)
+    if any(f.r >= k for f in forms):
+        lb = max(lb, threshold)  # fully enumerated
+    return min(lb, n + 1)
+
+
+def _next_form(forms, q: int, k: int):
+    """The form whose pass runs next: the cheapest step to a raise of the
+    lower bound, then the least r, then the first; None once all are done."""
+    candidates = [f for f in forms if f.r < k]
+    return min(candidates, key=lambda f: (_step_cost(q, k, f), f.r, forms.index(f)), default=None)
+
+
+@dataclass(eq=False)
+class _Tally:
+    """A generic form for the cost estimate: its deficit and enumerated weight."""
+
+    deficit: int
+    r: int = 0
+
+
+def information_sets_if_cheaper(q: int, n: int, k: int, upper: int) -> int | None:
+    """The messages of an exact information-set run, when its estimated
+    time is below that of scalar-class enumeration; None otherwise.
+
+    `upper` is the weight of a word of the measured set, so it bounds
+    the answer from above.  Enumeration walks q^k / (q - 1) scalar
+    classes.  The information-set loop is replayed on generic forms, form
+    i with min(k, n - i k) fresh columns, in its own pass order
+    (`_next_form`, `_lower_bound`): its first pass reads the rows that
+    give `upper`, and it stops once the lower bound reaches `upper`.
+    The messages are those it charges to its work budget; a pass at or
+    past `upper` is charged but never read, so it costs no time.  The
+    replay stops as soon as its time passes enumeration's.
+    """
+    budget_us = _ENUM_CALL_US + _ENUM_CLASS_US * q**k / (q - 1)
+    forms = [_Tally(k - min(k, n - i * k)) for i in range(-(-n // k))]
+    spent_us = _IS_CALL_US + _IS_FORM_US * len(forms)
+    threshold, messages = n + 1, 0
+    while spent_us < budget_us:
+        if _lower_bound(forms, k, n, threshold) >= threshold:
+            return messages
+        form = _next_form(forms, q, k)
+        form.r += 1
+        size = _pass_size(q, k, form.r)
+        messages += size
+        if form.r < threshold:
+            spent_us += _IS_PASS_US + _IS_MESSAGE_US * size
+        threshold = upper
+    return None
+
+
 @dataclass
 class ISResult:
     fact: DistanceFact
@@ -642,15 +737,7 @@ def information_set_bounds(
     state = _ISState(field, G, work_budget, subcode)
 
     def lower_bound():
-        lb = sum(max(0, f.r + 1 - f.deficit) for f in forms)
-        if any(f.r >= k for f in forms):
-            lb = max(lb, state.threshold)  # fully enumerated
-        return min(lb, n + 1)
-
-    def step_cost(f):
-        # cost until this form's next contribution to the lower bound
-        w_gain = max(f.r + 1, f.deficit)
-        return sum(math.comb(k, w) * (q - 1) ** (w - 1) for w in range(f.r + 1, w_gain + 1))
+        return _lower_bound(forms, k, n, state.threshold)
 
     def credit(form):
         for f in forms:
@@ -666,12 +753,11 @@ def information_set_bounds(
                 break
             if target is not None and lb >= target:
                 break
-            candidates = [f for f in forms if f.r < k]
-            if not candidates:
+            form = _next_form(forms, q, k)
+            if form is None:
                 break
-            form = min(candidates, key=lambda f: (step_cost(f), f.r, forms.index(f)))
             w = form.r + 1
-            if unproved and math.comb(k, w) * (q - 1) ** (w - 1) > _BATCH_WORDS:
+            if unproved and _pass_size(q, k, w) > _BATCH_WORDS:
                 # a loop whose passes each fit in one batch would spend more on
                 # the test than the credit saves it
                 unproved = False

@@ -156,13 +156,15 @@ def _class_column_blocks(C: LinearCode, norm_reps):
     rank is s - 1 exactly when y vanishes past its first s entries and
     their norms sum to -1.  Classes come in span-walk order, each scaled
     by the representatives in turn, as one (B, k) array per walk block.
+    D(lambda x) = lambda D x, so each block is multiplied by D once and
+    the products are scaled like the classes.
     """
     field, k = C.field, C.k
     D, s = hermitian_congruence_diagonalize(C.gram_hermitian())
     reps = np.array(norm_reps, dtype=np.uint8)[None, :, None]
     for _, classes in dist.span_values(field, np.eye(k, dtype=np.uint8)):
         X = field.MUL[reps, classes[:, None, :]].reshape(-1, k)
-        Y = gf_matmul(X, D.array.T, field)
+        Y = field.MUL[reps, gf_matmul(classes, D.array.T, field)[:, None, :]].reshape(-1, k)
         ok = ~Y[:, s:].any(axis=1) & (hermitian_self_product(field, Y[:, :s]) == field.neg(1))
         yield X[ok]
 
@@ -193,7 +195,8 @@ def _min_weight_messages(C: LinearCode):
 
 
 def _best_column(C: LinearCode, seed: int):
-    """First hull-raising column whose extension has the greatest distance.
+    """(column, extension): the first hull-raising column whose extension
+    has the greatest distance, and that extension.
 
     While the columns form at most COLUMN_CLASS_CAP classes (times norm
     representatives) all of them are scored, so the search is complete.
@@ -225,15 +228,16 @@ def _best_column(C: LinearCode, seed: int):
             best = (d0, X[0])
     if best is None:
         raise RuleNotApplicableError("no hull-raising column exists")
-    d = extend_with_column(C, best[1]).min_distance(
-        enum_cap=MORE_ENT_VERIFY_CAP, work_budget=CONSTRUCT_WORK_BUDGET).value
+    out = extend_with_column(C, best[1])
+    d = out.min_distance(enum_cap=MORE_ENT_VERIFY_CAP, work_budget=CONSTRUCT_WORK_BUDGET).value
     if d != best[0]:
         raise EaqeccError(f"column extension has distance {d}, scored {best[0]}")
-    return best[1]
+    return best[1], out
 
 
 def _best_sampled_column(C: LinearCode, seed: int):
-    """First sampled column whose extension has the greatest distance.
+    """(column, extension): the first sampled column whose extension has
+    the greatest distance, and that extension.
 
     Each candidate's extension is built and its distance computed, which
     need only show whether it beats the best so far (`min_distance`'s
@@ -242,7 +246,8 @@ def _best_sampled_column(C: LinearCode, seed: int):
     d0 = C.min_distance(enum_cap=MORE_ENT_VERIFY_CAP, work_budget=CONSTRUCT_WORK_BUDGET)
     best = None
     for col in _sampled_columns(C, seed):
-        fact = extend_with_column(C, col).min_distance(
+        out = extend_with_column(C, col)
+        fact = out.min_distance(
             enum_cap=MORE_ENT_VERIFY_CAP, work_budget=CONSTRUCT_WORK_BUDGET,
             target=(d0.value if best is None else best[0]) + 1,
         )
@@ -250,12 +255,12 @@ def _best_sampled_column(C: LinearCode, seed: int):
         if d0.exact and fact.exact and not d0.value <= d2 <= d0.value + 1:
             raise EaqeccError(f"column extension changed distance {d0.value} to {d2}")
         if best is None or d2 > best[0]:
-            best = (d2, col)
+            best = (d2, col, out)
         if d2 == d0.value + 1:
             break
     if best is None:
         raise RuleNotApplicableError("no hull-raising column exists")
-    return best[1]
+    return best[1:]
 
 
 def extend_row_column(C: LinearCode, word) -> LinearCode:
@@ -451,10 +456,15 @@ def extend_column_step(
     sampled column: alpha e_0 under the unsampled congruence, alpha the
     smallest element of norm -1.
     """
-    if column is None:
+    if column is not None:
+        out = extend_with_column(C, column)
+    elif search:
         _check_extend_precondition(C)
-        column = _best_column(C, seed) if search else next(_sampled_columns(C, seed))
-    out = extend_with_column(C, column)
+        column, out = _best_column(C, seed)  # built and checked there
+    else:
+        _check_extend_precondition(C)
+        column = next(_sampled_columns(C, seed))
+        out = extend_with_column(C, column)
     cert = {"input": C, "column": tuple(int(v) for v in column), "output": out}
     return PropagationStep("extend_column", None, None, cert)
 

@@ -9,7 +9,7 @@ from eaqecc.codes import (
     random_code,
     relative_distance,
 )
-from eaqecc.errors import PreconditionError
+from eaqecc.errors import BudgetError, PreconditionError
 from eaqecc.fields import GF
 from eaqecc.matrix import MatrixFq, gf_matmul
 from oracles import (
@@ -256,3 +256,113 @@ def test_adapted_rows_match_the_greedy_scan(q):
         assert np.array_equal(rows, greedy_adapted_rows(big, sub))
         assert np.array_equal(rows[:j], sub.G.array) and MatrixFq(F, rows).rank() == big.k
         cases += 1
+
+
+# (field, n, k, codes): small codes stay on enumeration, and the larger
+# shape of each field is one the cost model sends to information sets
+ENGINE_SWEEP = [(F2, 14, 7, 3), (F2, 30, 18, 2), (F3, 10, 5, 3), (F3, 20, 12, 2),
+                (F4, 10, 4, 3), (F4, 17, 10, 2), (F9, 9, 4, 3), (F9, 11, 7, 3),
+                (GF(25), 7, 3, 3), (GF(25), 10, 5, 2)]
+
+
+def _assert_witness(C, witness, weight, sub=None):
+    w = np.array(witness, dtype=np.uint8)
+    assert np.count_nonzero(w) == weight and C.contains_vector(w)
+    assert sub is None or not sub.contains_vector(w)
+
+
+def test_engine_choice_matches_both_engines():
+    """The cost-based choice, forced enumeration and forced information sets
+    give equal facts: plain, outside a proper subcode, and outside {0}."""
+    rng = np.random.default_rng(31)
+    methods = {}
+    for field, n, k, count in ENGINE_SWEEP:
+        for _ in range(count):
+            C = random_code(field, n, k, rng)
+            j = int(rng.integers(1, k))
+            coeffs = random_code(field, k, j, rng).G.array
+            subs = [LinearCode(field, gf_matmul(coeffs, C.G.array, field)),
+                    LinearCode(field, MatrixFq.zeros(field, 0, n))]
+            fact = LinearCode(field, C.G).min_distance()
+            scan = dist.span_weight_scan(field, C.G.array)
+            isd = dist.information_set_bounds(field, C.G.array)
+            assert fact.exact and isd.fact.exact
+            assert fact.value == scan.min_weight == isd.fact.value
+            for f in (fact, isd.fact):
+                _assert_witness(C, f.witness, f.value)
+            _assert_witness(C, scan.witness, scan.min_weight)
+            methods.setdefault(fact.method, set()).add(field.order)
+            for sub in subs:
+                out, whole = relative_distance(LinearCode(field, C.G), sub)
+                scan = dist.span_weight_scan(field, _adapted_rows(C, sub), sub_rows=sub.k)
+                isd = dist.information_set_bounds(field, C.G.array, subcode=sub.G.array)
+                assert out.exact and whole.exact and isd.fact.exact and isd.outside_fact.exact
+                assert out.value == scan.outside_min == isd.outside_fact.value
+                assert whole.value == scan.min_weight == isd.fact.value == fact.value
+                assert out.method == whole.method
+                for f, outside in ((out, sub), (whole, None), (isd.outside_fact, sub)):
+                    _assert_witness(C, f.witness, f.value, outside)
+                _assert_witness(C, scan.outside_witness, scan.outside_min, sub)
+                methods.setdefault(out.method, set()).add(field.order)
+    assert methods == {"enumeration": {2, 3, 4, 9, 25}, "information_sets": {2, 3, 4, 9, 25}}
+
+
+def test_engine_choice_pins_information_sets_for_a_random_11_7_9_code(tmp_path, capsys):
+    from eaqecc import cli
+
+    C = random_code(F9, 11, 7, np.random.default_rng(5))
+    path = tmp_path / "c.txt"
+    path.write_text(C.to_text())
+    assert cli.main(["distance", str(path), "--format", "machine"]) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    d = dist.span_weight_scan(F9, C.G.array).min_weight
+    assert line.startswith(f"distance value={d} certainty=exact method=information_sets ")
+
+
+@pytest.mark.parametrize("stop", ["budget", "tensor cap"])
+def test_engine_choice_falls_back_to_enumeration(monkeypatch, stop):
+    """A chosen information-set run that stops short of exact leaves the
+    facts to enumeration.  Three zero columns make the code's second form
+    lack three fresh columns, so the run overruns the messages estimated
+    for generic forms; a pass past the tensor cap raises BudgetError."""
+    base = random_code(F9, 11, 7, np.random.default_rng(0))
+    C = LinearCode(F9, np.hstack([base.G.array, np.zeros((7, 3), dtype=np.uint8)]))
+    runs = []
+    real = dist.information_set_bounds
+
+    def spy(*args, **kw):
+        if stop == "tensor cap":
+            runs.append(None)
+            raise BudgetError("weight-pass tensor would exceed the memory cap")
+        runs.append(real(*args, **kw))
+        return runs[-1]
+
+    monkeypatch.setattr(dist, "information_set_bounds", spy)
+    sub = LinearCode(F9, C.G.array[:2])
+    plain = LinearCode(F9, C.G).min_distance()
+    out, whole = relative_distance(LinearCode(F9, C.G), sub)
+    assert len(runs) == 2  # the model chose information sets both times
+    if stop == "budget":
+        assert not runs[0].fact.exact and not runs[1].outside_fact.exact
+    for fact in (plain, out, whole):
+        assert fact.exact and fact.method == "enumeration"
+    scan = dist.span_weight_scan(F9, _adapted_rows(C, sub), sub_rows=2)
+    assert plain.value == whole.value == scan.min_weight and out.value == scan.outside_min
+
+
+def test_hermitian_dual_identities():
+    """(C^perp_h)^perp_h is C itself, and C and its dual share one hull,
+    whichever of the two computed it first."""
+    rng = np.random.default_rng(32)
+    for field in (F4, F9, GF(16)):
+        for hull_first in (False, True):
+            C = random_code(field, 8, 3, rng)
+            if hull_first:
+                C.hermitian_hull()
+            D = C.hermitian_dual()
+            assert D.hermitian_dual() is C
+            for code in (C, D) if hull_first else (D, C):
+                basis, ell = LinearCode(field, code.G).hermitian_hull()
+                got, got_ell = code.hermitian_hull()
+                assert got_ell == ell and got == basis
+            assert D.hermitian_hull() is C.hermitian_hull()

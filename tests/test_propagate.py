@@ -214,7 +214,7 @@ def test_best_column_matches_the_per_candidate_loop():
             if not C.hull_dim < min(C.k, C.n - C.k):
                 continue
             col, d = oracles.best_column_by_distance(C, prop._class_columns(C, reps))
-            assert tuple(int(v) for v in prop._best_column(C, 0)) == col
+            assert tuple(int(v) for v in prop._best_column(C, 0)[0]) == col
             d0 = brute_min_distance(F, C.G.array)
             words = oracles.brute_codewords(F, C.G.array)
             several += sum(oracles.weight(w) == d0 for w in words) > q - 1

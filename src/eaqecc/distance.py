@@ -627,10 +627,11 @@ def _pass_size(q: int, k: int, w: int) -> int:
     return math.comb(k, w) * (q - 1) ** (w - 1)
 
 
-def _step_cost(q: int, k: int, form) -> int:
-    """Messages a form enumerates until it next raises the lower bound."""
-    w_gain = max(form.r + 1, form.deficit)
-    return sum(_pass_size(q, k, w) for w in range(form.r + 1, w_gain + 1))
+@functools.lru_cache(maxsize=4096)
+def _step_cost(q: int, k: int, r: int, deficit: int) -> int:
+    """Messages a form that enumerated weights up to r, with `deficit`,
+    enumerates until it next raises the lower bound."""
+    return sum(_pass_size(q, k, w) for w in range(r + 1, max(r + 1, deficit) + 1))
 
 
 def _lower_bound(forms, k: int, n: int, threshold: int) -> int:
@@ -651,8 +652,9 @@ def _lower_bound(forms, k: int, n: int, threshold: int) -> int:
 def _next_form(forms, q: int, k: int):
     """The form whose pass runs next: the cheapest step to a raise of the
     lower bound, then the least r, then the first; None once all are done."""
-    candidates = [f for f in forms if f.r < k]
-    return min(candidates, key=lambda f: (_step_cost(q, k, f), f.r, forms.index(f)), default=None)
+    best = min(((_step_cost(q, k, f.r, f.deficit), f.r, i) for i, f in enumerate(forms) if f.r < k),
+               default=None)
+    return None if best is None else forms[best[2]]
 
 
 @dataclass(eq=False)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -30,7 +29,8 @@ from .errors import BudgetError, DataIntegrityError, RecordParseError
 DEFAULT_RULES = frozenset({1, 2, 3, 4, 5, 7})
 # the most cells a closure may hold by `closure_cells`.  The bundled
 # qubit table up to n = 64 needs 95,808 (it settles 45,755, in about
-# 0.5 s); one field passes the cap from n = 113 on
+# 0.1 s on 2 vCPUs with CPython 3.11); one field passes the cap from
+# n = 113 on
 CLOSURE_CELL_CAP = 500_000
 
 
@@ -145,57 +145,103 @@ def closure_cells(roots, n_max) -> int:
     return longer + 2 * fields * (math.comb(n_max + 3, 3) - 1)
 
 
-def _walk(roots, rules, n_max):
-    """Close the union of the roots under the rules in one bucket pass.
+def _rule_rows(rules, n_max, floor):
+    """Each rule as ((least pure, q, delta), (rule, dn, dkappa, ddelta, dc,
+    pure out, least n, most n, least kappa, least room)) for the walk.
 
-    Every rule keeps or lowers delta, so taking cells in descending delta
-    order, and by root index within one delta, settles each cell at its
-    best (delta, root) on first visit.  Returns three maps over
+    A limit the rule lacks becomes `floor`, an int at or below every
+    coordinate in the closure; the most n keeps its output within n_max.
+    """
+    rows = []
+    for rule in sorted(rules):
+        entry = propagate.simple_rule(rule)
+        pure_low, q_low, n_low, k_low, d_low, room_low = (
+            max(low, floor) for low in entry.limits())
+        dn, dk, dd, dc = entry.shift
+        rows.append(((pure_low, q_low, d_low),
+                     (rule, dn, dk, dd, dc, int(entry.pure_out), n_low, n_max - dn, k_low,
+                      room_low)))
+    return rows
+
+
+def _walk(roots, rules, n_max):
+    """Close the union of the roots under the rules in one pass over classes.
+
+    A class holds the cells offered at one (delta, root index).  Every
+    rule keeps delta or lowers it by one, so taking classes in descending
+    delta order, then ascending root index, and the cells of each class
+    first come, first served, settles each cell at its best
+    (delta, root) on first visit.  A class grows while it is walked, and
+    its cells one delta lower wait in the next class of the same root,
+    which no other class feeds.  Returns three maps over
     (q, n, kappa, c, pure) cells: (delta, root_index) reachable in zero or
-    more steps, the best delta reachable in one or more steps, and the
-    (previous cell, rule) that settled each cell (None at a root).
-    Raises BudgetError, before anything is allocated, when closure_cells
-    exceeds CLOSURE_CELL_CAP.
+    more steps; the best delta reachable in one or more steps, at root
+    cells only; and the (previous cell, rule) that settled each cell (None
+    at a root).  Raises BudgetError, before anything is allocated, when
+    closure_cells exceeds CLOSURE_CELL_CAP.
     """
     bound = closure_cells(roots, n_max)
     if bound > CLOSURE_CELL_CAP:
         raise BudgetError(f"the closure up to n = {n_max} may hold {bound} cells, "
                           f"past the cap of {CLOSURE_CELL_CAP}")
-    transform = propagate.simple_rule_transform
-    entries = {rule: propagate.simple_rule(rule) for rule in sorted(rules)}
-    steps = [(rule, int(entry.pure_out)) + entry.limits() for rule, entry in entries.items()]
-    cells, stepped, parent = {}, {}, {}
-    buckets = [[] for _ in range(max((r.delta for r in roots), default=0) + 1)]
-    order = itertools.count()  # first come, first settled, as in a breadth-first search
-
-    def offer(cell, delta, idx, via):
-        cur = cells.get(cell)
-        if cur is None or delta > cur[0] or (delta == cur[0] and idx < cur[1]):
-            cells[cell] = (delta, idx)
-            parent[cell] = via
-            heapq.heappush(buckets[delta], (idx, next(order), cell))
-
+    # no rule lowers a coordinate it does not limit
+    floor = min([0] + [min(r.n, r.kappa, r.delta, r.n - r.kappa - r.c) for r in roots])
+    rows = _rule_rows(rules, n_max, floor)
+    cells, parent = {}, {}
+    todo = []  # heap of classes (-delta, root index, cells in arrival order)
     for idx, rec in enumerate(roots):
-        offer(rec.key + (int(rec.is_pure_at_delta()),), rec.delta, idx, None)
-    for delta in range(len(buckets) - 1, -1, -1):
-        heap = buckets[delta]
-        while heap:
-            idx, _, cell = heapq.heappop(heap)
-            if cells[cell] != (delta, idx):
+        cell = rec.key + (int(rec.is_pure_at_delta()),)
+        cur = cells.get(cell)
+        if cur is None or rec.delta > cur[0]:
+            cells[cell] = (rec.delta, idx)
+            parent[cell] = None
+            todo.append((-rec.delta, idx, [cell]))
+    heapq.heapify(todo)
+    while todo:
+        neg_delta, idx, fifo = heapq.heappop(todo)
+        delta = -neg_delta
+        here, below = (delta, idx), []
+        q = roots[idx].q
+        # a move is a rule's row past its gate, with the delta and value
+        # it offers and the class its cells join
+        moves = ([], [])
+        for (pure_low, q_low, d_low), (rule, dn, dk, dd, dc, *limits) in rows:
+            if q >= q_low and delta >= d_low:
+                move = (rule, dn, dk, dc, *limits, delta + dd, (delta + dd, idx),
+                        below if dd else fifo)
+                for pure in range(pure_low, 2):
+                    moves[pure].append(move)
+        for cell in fifo:
+            if cells[cell] != here:
                 continue
-            q, n, kappa, c, pure = cell
+            _, n, kappa, c, pure = cell
             room = n - kappa - c
-            for rule, pure2, pure_low, q_low, n_low, k_low, d_low, room_low in steps:
-                if not (n >= n_low and kappa >= k_low and delta >= d_low and room >= room_low
-                        and pure >= pure_low and q >= q_low):
-                    continue
-                n2, k2, d2, c2 = transform(rule, n, kappa, delta, c)
-                if n2 > n_max:
-                    continue
-                cell2 = (q, n2, k2, c2, pure2)
-                if stepped.get(cell2, -1) < d2:
-                    stepped[cell2] = d2
-                offer(cell2, d2, idx, (cell, rule))
+            for rule, dn, dk, dc, pure2, n_low, n_high, k_low, r_low, d2, value, target in (
+                    moves[pure]):
+                if n_low <= n <= n_high and kappa >= k_low and room >= r_low:
+                    cell2 = (q, n + dn, kappa + dk, c + dc, pure2)
+                    cur = cells.get(cell2)
+                    if cur is None or d2 > cur[0] or (d2 == cur[0] and idx < cur[1]):
+                        cells[cell2] = value
+                        parent[cell2] = (cell, rule)
+                        target.append(cell2)
+        if below:
+            heapq.heappush(todo, (1 - delta, idx, below))
+    # each cell was expanded once, at its final value, so a root cell's
+    # best one-step delta comes from the cells one move before it
+    stepped = {}
+    for cell in {rec.key + (int(rec.is_pure_at_delta()),) for rec in roots}:
+        q, n, kappa, c, pure = cell
+        for (pure_low, q_low, d_low), (_, dn, dk, dd, dc, pure2, n_low, n_high, k_low,
+                                       r_low) in rows:
+            n1, k1, c1 = n - dn, kappa - dk, c - dc
+            if pure2 != pure or q < q_low or not (n_low <= n1 <= n_high and k1 >= k_low
+                                                  and n1 - k1 - c1 >= r_low):
+                continue
+            for pure1 in range(pure_low, 2):
+                got = cells.get((q, n1, k1, c1, pure1))
+                if got is not None and got[0] >= d_low and stepped.get(cell, -1) < got[0] + dd:
+                    stepped[cell] = got[0] + dd
     return cells, stepped, parent
 
 
@@ -204,7 +250,8 @@ class ExpandedStore:
 
     cells maps (q, n, kappa, c, pure) to (delta, root_index): the best
     delta reachable from the roots and the first root reaching it.
-    stepped holds the best delta reachable in one or more steps.
+    stepped holds, at root cells only, the best delta reachable in one or
+    more steps.
     """
 
     def __init__(self, roots, rules, n_max):
@@ -213,41 +260,56 @@ class ExpandedStore:
         self.n_max = n_max
         self.cells, self.stepped, self._parent = _walk(self.roots, self.rules, n_max)
 
-    def _chain(self, cell):
-        rules = []
-        while self._parent[cell] is not None:
-            cell, rule = self._parent[cell]
-            rules.append(rule)
-        return rules[::-1]
+    def _tag(self, cell, tags):
+        """The comma-joined rule chain from its root to the cell, memoized in
+        `tags`: each cell's tag is its parent's tag plus one rule."""
+        path = []
+        while cell not in tags:
+            via = self._parent[cell]
+            if via is None:
+                tags[cell] = ""
+                break
+            path.append((cell, via[1]))
+            cell = via[0]
+        tag = tags[cell]
+        for cell, rule in reversed(path):
+            tag = f"{tag},{rule}" if tag else str(rule)
+            tags[cell] = tag
+        return tag
 
-    def records(self, with_chains=False):
-        """Materialized best records, one per (q, n, kappa, c) cell.
+    def _records(self, cells, with_chains):
+        """Best records, one per (q, n, kappa, c) among `cells`, in key order.
 
         A root holding the best delta of its own cell is emitted as
         itself; any other record is derived from the first root reaching
         it, tagged with the rule chain from that root when asked.
         """
         best = {}
-        for (q, n, kappa, c, pure), (d, idx) in self.cells.items():
-            key = (q, n, kappa, c)
+        for cell in cells:
+            d, idx = self.cells[cell]
+            key, pure = cell[:4], cell[4]
             cur = best.get(key)
             if cur is None or d > cur[0] or (d == cur[0] and pure > cur[1]):
                 best[key] = (d, pure, idx)
         own = {}
         for rec in self.roots:
             own.setdefault(rec.key + (int(rec.is_pure_at_delta()), rec.delta), rec)
-        out = []
+        tags, out = {}, []
         for key in sorted(best):
             d, pure, idx = best[key]
             rec = own.get(key + (pure, d))
             if rec is None:
                 q, n, kappa, c = key
                 purity = f"pure_to:{d}" if pure else "unknown"
-                tag = ",".join(map(str, self._chain(key + (pure,)))) if with_chains else "*"
+                tag = self._tag(key + (pure,), tags) if with_chains else "*"
                 source = f"derived({self.roots[idx].source}:{tag})"
                 rec = CodeRecord(q, n, kappa, d, c, purity, source)
             out.append(rec)
         return out
+
+    def records(self, with_chains=False):
+        """Materialized best records, one per (q, n, kappa, c) cell (see _records)."""
+        return self._records(self.cells, with_chains)
 
 
 def expand(store, rules=DEFAULT_RULES, n_max=None) -> ExpandedStore:
@@ -292,19 +354,16 @@ def query(store, q=None, n=None, kappa=None, c=None, rules=DEFAULT_RULES, n_max=
 
     Ties on delta break toward smaller c, then lexicographic source.
     """
-    if n_max is None:
-        n_max = n if n is not None else max((r.n for r in store), default=1)
-    exp = store if isinstance(store, ExpandedStore) else expand(store, rules, n_max)
+    exp = store
+    if not isinstance(store, ExpandedStore):
+        if n_max is None:
+            n_max = n if n is not None else max((r.n for r in store), default=1)
+        exp = expand(store, rules, n_max)
     hits = {}
-    for rec in exp.records():
-        if q is not None and rec.q != q:
-            continue
-        if n is not None and rec.n != n:
-            continue
-        if kappa is not None and rec.kappa != kappa:
-            continue
-        if c is not None and rec.c != c:
-            continue
+    cells = [cell for cell in exp.cells
+             if (q is None or cell[0] == q) and (n is None or cell[1] == n)
+             and (kappa is None or cell[2] == kappa) and (c is None or cell[3] == c)]
+    for rec in exp._records(cells, with_chains=False):
         sel = (rec.q, rec.n, rec.kappa)
         cur = hits.get(sel)
         if (

@@ -2,17 +2,21 @@
 
 Everything here works one scalar at a time through the field's add/mul
 methods, deliberately avoiding the vectorized enumeration machinery the
-package uses, so agreement is meaningful.  The last four are the plain
-loops the package once ran (row reduction one row at a time, the greedy
-basis extension, one rank per diagonal, one extension and scan per
-hull-raising column), kept as references for the versions that
-replaced them.
+package uses, so agreement is meaningful.  The rest are the plain
+loops the package once ran (the one-heap table closure, row reduction
+one row at a time, the greedy basis extension, one rank per diagonal,
+one extension and scan per hull-raising column, the information-set
+pass order that re-costs every form), kept as references for the
+versions that replaced them.
 """
 
+import heapq
 import itertools
+import math
 
 import numpy as np
 
+from eaqecc import propagate
 from eaqecc.propagate import extend_with_column
 
 
@@ -125,6 +129,51 @@ def rule_closure(seeds, rules, n_max):
     return best
 
 
+def heap_closure_walk(roots, rules, n_max):
+    """(cells, stepped, parent) of the closure walk that pushes every offer
+    on one heap per delta, ordered by (root index, arrival).
+
+    cells maps (q, n, kappa, c, pure) to (delta, root index), stepped
+    every cell to the best delta it is reached with in one or more steps,
+    parent each cell to the (previous cell, rule) that settled it.
+    """
+    entries = {rule: propagate.simple_rule(rule) for rule in sorted(rules)}
+    steps = [(rule, int(entry.pure_out)) + entry.limits() for rule, entry in entries.items()]
+    cells, stepped, parent = {}, {}, {}
+    buckets = [[] for _ in range(max((r.delta for r in roots), default=0) + 1)]
+    order = itertools.count()
+
+    def offer(cell, delta, idx, via):
+        cur = cells.get(cell)
+        if cur is None or delta > cur[0] or (delta == cur[0] and idx < cur[1]):
+            cells[cell] = (delta, idx)
+            parent[cell] = via
+            heapq.heappush(buckets[delta], (idx, next(order), cell))
+
+    for idx, rec in enumerate(roots):
+        offer(rec.key + (int(rec.is_pure_at_delta()),), rec.delta, idx, None)
+    for delta in range(len(buckets) - 1, -1, -1):
+        heap = buckets[delta]
+        while heap:
+            idx, _, cell = heapq.heappop(heap)
+            if cells[cell] != (delta, idx):
+                continue
+            q, n, kappa, c, pure = cell
+            room = n - kappa - c
+            for rule, pure2, pure_low, q_low, n_low, k_low, d_low, room_low in steps:
+                if not (n >= n_low and kappa >= k_low and delta >= d_low and room >= room_low
+                        and pure >= pure_low and q >= q_low):
+                    continue
+                n2, k2, d2, c2 = propagate.simple_rule_transform(rule, n, kappa, delta, c)
+                if n2 > n_max:
+                    continue
+                cell2 = (q, n2, k2, c2, pure2)
+                if stepped.get(cell2, -1) < d2:
+                    stepped[cell2] = d2
+                offer(cell2, d2, idx, (cell, rule))
+    return cells, stepped, parent
+
+
 def loop_rref(field, array, pivot_priority=None):
     """(R, rank, pivots) of the row-at-a-time Gauss-Jordan loop."""
     R = np.array(array, dtype=np.uint8)
@@ -195,3 +244,16 @@ def best_column_by_distance(C, columns):
         if d == d0 + 1:
             break
     return best
+
+
+def recosting_next_form(forms, q, k):
+    """The form whose information-set pass runs next, every form re-costed:
+    the cheapest step to a raise of the lower bound, then the least r,
+    then the first; None once all are done."""
+
+    def step_cost(f):
+        w_gain = max(f.r + 1, f.deficit)
+        return sum(math.comb(k, w) * (q - 1) ** (w - 1) for w in range(f.r + 1, w_gain + 1))
+
+    candidates = [f for f in forms if f.r < k]
+    return min(candidates, key=lambda f: (step_cost(f), f.r, forms.index(f)), default=None)

@@ -338,6 +338,8 @@ def test_criterion_6_oracle_equivalence():
 BATTERY = [
     ["verify-paper", "--format", "machine"],
     ["table", "query", "--bundled", "qutrit", "--q", "3", "--n", "16", "--format", "machine"],
+    ["table", "query", "--bundled", "qubit", "--n", "24", "--kappa", "3", "--format", "machine"],
+    ["table", "compress", "--bundled", "qutrit", "--format", "machine"],
     ["simple-rule", "--rule", "5", "--record", "3 5 2 3 1 unknown paper-table",
      "--format", "machine"],
     ["bounds", "--record", "3 6 1 5 3 pure constructed", "--format", "machine"],

@@ -22,6 +22,7 @@ from oracles import (
     brute_encode,
     brute_min_distance,
     brute_min_outside,
+    recosting_next_form,
     scalar_class_messages,
     weight,
 )
@@ -291,6 +292,30 @@ def test_information_sets_paper_pair():
     assert (str(res.fact), str(res.outside_fact)) == ("11", "11")
     assert "".join(map(str, res.outside_fact.witness)) == "10001000000000040150345700023"
     assert (res.work, res.rounds) == (13059118, (5, 5))
+
+
+def test_pass_order_matches_the_recosting_oracle(monkeypatch):
+    # step costs are cached and each form is keyed once a pass; the pass
+    # order, the cost estimates and whole runs stay as they were when
+    # every form was re-costed on every pass
+    rng = np.random.default_rng(49)
+    for _ in range(400):
+        q, k = int(rng.choice((2, 3, 4, 9))), int(rng.integers(1, 13))
+        forms = [distance._Tally(int(rng.integers(0, k + 1)), int(rng.integers(0, k + 1)))
+                 for _ in range(int(rng.integers(1, 8)))]
+        assert distance._next_form(forms, q, k) is recosting_next_form(forms, q, k)
+    grid = []
+    for _ in range(300):
+        q, n = int(rng.choice((2, 3, 4, 9))), int(rng.integers(2, 41))
+        k = int(rng.integers(1, n))
+        grid.append((q, n, k, int(rng.integers(1, n - k + 2))))
+    codes = [random_code(GF(q), n, k, rng) for q, n, k in ((2, 24, 12), (4, 14, 6), (9, 12, 5))]
+    estimates = [distance.information_sets_if_cheaper(*args) for args in grid]
+    runs = [information_set_bounds(C.field, C.G.array) for C in codes]
+    assert any(estimates) and None in estimates
+    monkeypatch.setattr(distance, "_next_form", recosting_next_form)
+    assert [distance.information_sets_if_cheaper(*args) for args in grid] == estimates
+    assert [information_set_bounds(C.field, C.G.array) for C in codes] == runs
 
 
 def leaf_messages(q, k, supports):

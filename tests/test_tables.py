@@ -11,6 +11,7 @@ from eaqecc import tables
 from eaqecc.errors import BudgetError, DataIntegrityError, RecordParseError
 from eaqecc.tables import (
     CLOSURE_CELL_CAP,
+    DEFAULT_RULES,
     CodeRecord,
     TableStore,
     check_records,
@@ -164,9 +165,10 @@ def _replay_chain(root, chain):
     return (q, n, kappa, c), delta, pure
 
 
-@pytest.mark.parametrize(
-    "rules", [{1}, {1, 3}, {6}, {1, 2, 3, 4, 5}, {1, 2, 4, 5, 7}, set(range(1, 9))], ids=str
-)
+RULE_SUBSETS = [{1}, {1, 3}, {6}, {1, 2, 3, 4, 5}, {1, 2, 4, 5, 7}, set(range(1, 9))]
+
+
+@pytest.mark.parametrize("rules", RULE_SUBSETS, ids=str)
 def test_closure_matches_worklist_oracle(rules):
     n_max = 7
     for seed in range(6):
@@ -197,6 +199,30 @@ def test_closure_matches_worklist_oracle(rules):
             name, _, tag = r.source[len("derived("):-1].partition(":")
             chain = [int(t) for t in tag.split(",")]
             assert _replay_chain(by_source[name], chain) == (r.key, r.delta, r.is_pure_at_delta())
+
+
+def _assert_walk_matches_heap_walk(roots, rules, n_max):
+    cells, stepped, parent = tables._walk(roots, rules, n_max)
+    want_cells, want_stepped, want_parent = oracles.heap_closure_walk(roots, rules, n_max)
+    assert cells == want_cells
+    assert parent == want_parent
+    assert stepped == {cell: want_stepped[cell] for cell in map(_cell, roots)
+                       if cell in want_stepped}
+
+
+@pytest.mark.parametrize("rules", RULE_SUBSETS, ids=str)
+def test_walk_settles_cells_as_the_heap_walk(rules):
+    # same best (delta, root) and the same settling step at every cell, so
+    # every chain tag is the same, and the same one-step best at the roots
+    for seed in range(6):
+        _assert_walk_matches_heap_walk(_random_records(seed), rules, 7)
+
+
+@pytest.mark.parametrize("which", ["qubit", "qutrit"])
+def test_walk_settles_bundled_cells_as_the_heap_walk(which):
+    roots = list(load_bundled(which))
+    for rules, n_max in itertools.product((DEFAULT_RULES, set(range(1, 9))), (16, 20)):
+        _assert_walk_matches_heap_walk(roots, rules, n_max)
 
 
 @pytest.mark.parametrize("rule", range(1, 9))
@@ -242,6 +268,31 @@ def test_query_prefers_higher_delta_then_smaller_c():
     store = TableStore([rec(3, 6, 1, 4, 3, source="b"), rec(3, 6, 1, 4, 2, source="a")])
     hits = query(store, q=3, n=6, kappa=1, rules=frozenset(), n_max=6)
     assert len(hits) == 1 and hits[0].c == 2
+
+
+def _query_by_records(records, q, n, kappa, c):
+    """The best record per (q, n, kappa) among all matching records."""
+    hits = {}
+    for r in records:
+        if any(want not in (None, have) for want, have in zip((q, n, kappa, c), r.key)):
+            continue
+        cur = hits.get(r.key[:3])
+        if cur is None or (-r.delta, r.c, r.source) < (-cur.delta, cur.c, cur.source):
+            hits[r.key[:3]] = r
+    return [hits[key] for key in sorted(hits)]
+
+
+def test_query_matches_filtering_all_records():
+    # a tie on delta at (4, 6, 1) breaks toward the smaller c before the
+    # smaller source; delta and c never both tie, as the closure holds one
+    # record per (q, n, kappa, c)
+    tie = [rec(4, 6, 1, 4, 3, source="a"), rec(4, 6, 1, 4, 2, source="z")]
+    exp = expand(_random_records(7, size=40, n_top=6) + tie, n_max=7)
+    everything = exp.records()
+    assert query(exp, q=4, n=6, kappa=1) == [tie[1]]
+    for want in itertools.product((None, 2, 3, 4), (None, *range(1, 8)), (None, *range(8)),
+                                  (None, *range(8))):
+        assert query(exp, *want) == _query_by_records(everything, *want), want
 
 
 def test_query_consults_closure():

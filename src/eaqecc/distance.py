@@ -31,7 +31,10 @@ the layout depends on the characteristic p alone:
   unsigned word that holds a whole word (8, 16 or 32 symbols), or in
   uint64 words, 64 symbols each, past 32.  Addition is XOR for p = 2
   and six bitwise operations on one-hot trits for p = 3; a distance is
-  a popcount of the OR of the planes' XORs.
+  a popcount of the OR of the planes' XORs.  numpy vectorizes only the
+  byte popcount, and its uint16 popcount is the slowest of all widths,
+  so 16-bit words are counted as bytes and each word's two byte counts
+  added in place.
 * p >= 5 (`_DigitPlanes`): one uint8 plane per base-p digit, added
   modulo p.
 
@@ -127,7 +130,11 @@ class _BitPlanes:
     six bitwise operations.  Either way a symbol is nonzero, or two
     symbols differ, exactly when some plane has (or differs in) that
     bit.  Distances come in the narrowest unsigned integer that holds
-    n + 1, n >= m the largest weight a caller forms from them.
+    n + 1, n >= m the largest weight a caller forms from them.  A
+    16-bit word is counted as two bytes whose counts are then added in
+    place: numpy vectorizes only the byte popcount, and its uint16 one
+    runs slower than its uint32 and uint64 ones, which the wider words
+    keep (counted through bytes, they ran slower).
     """
 
     def __init__(self, field: FieldSpec, m: int, n: int):
@@ -181,8 +188,15 @@ class _BitPlanes:
         acc = A[0] ^ B[0]
         for a, b in zip(A[1:], B[1:]):
             acc |= a ^ b
+        if self.bits == 16:
+            # in place: with byte counts lo and hi, (lo + 256 hi) * 0x0101 >> 8 = lo + hi
+            counts = np.ascontiguousarray(acc)
+            np.bitwise_count(counts.view(np.uint8), out=counts.view(np.uint8))
+            counts *= 0x0101
+            counts >>= 8
+        else:
+            counts = np.bitwise_count(acc)
         # summed word by word: a reduction over W costs more than W adds
-        counts = np.bitwise_count(acc)
         out = counts[0].astype(self.counts, copy=False)
         for c in counts[1:]:
             out += c

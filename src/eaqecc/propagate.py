@@ -320,8 +320,8 @@ def min_entanglement_search(
 
     Exhaustive mode scans all (q-1)^n diagonals in ascending order (cap
     guarded) and returns the true minimum with its first witness;
-    randomized mode samples `budget` diagonals and returns an upper
-    bound flagged as such.
+    randomized mode samples `budget` diagonals (at most cap of them) and
+    returns an upper bound flagged as such.
     """
     field = C.field
     field._require_square()
@@ -332,17 +332,23 @@ def min_entanglement_search(
             raise BudgetError(f"(q-1)^n = {total} exceeds cap {cap}; use randomized mode")
         trials = itertools.product(nonzero, repeat=C.n)
     elif mode == "randomized":
+        if not 0 <= budget <= cap:
+            raise BudgetError(f"randomized budget {budget} outside 0..cap = {cap}")
         rng = np.random.default_rng(seed)
-        # the all-ones diagonal is the do-nothing baseline; always include it so
-        # a sampled bound never exceeds rank(G G^dagger)
-        trials = [tuple([1] * C.n)]
-        # one (budget, n) draw reads the generator's stream as budget draws of n do
-        draws = rng.integers(0, len(nonzero), size=(budget, C.n))
-        trials += map(tuple, np.array(nonzero)[draws].tolist())
+
+        def sampled():
+            # the all-ones diagonal is the do-nothing baseline; always include it so
+            # a sampled bound never exceeds rank(G G^dagger)
+            yield tuple([1] * C.n)
+            # (chunk, n) draws read the generator's stream as budget draws of n do
+            for start in range(0, budget, _MIN_ENT_CHUNK):
+                draws = rng.integers(0, len(nonzero), (min(_MIN_ENT_CHUNK, budget - start), C.n))
+                yield from map(tuple, np.array(nonzero)[draws].tolist())
+
+        trials = sampled()
     else:
         raise PreconditionError(f"unknown mode {mode!r}")
     G, G_dagger = C.G.array, field.CONJ[C.G.array].T
-    trials = iter(trials)
     best = None
     while chunk := list(itertools.islice(trials, _MIN_ENT_CHUNK)):
         diags = np.array(chunk, dtype=np.uint8).reshape(len(chunk), C.n)

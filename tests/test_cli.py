@@ -222,6 +222,15 @@ def test_min_ent_and_puncture_space(tmp_path):
     assert code == 0 and "all_nonzero_found=1" in stdout
 
 
+def test_min_ent_randomized_budget_past_the_cap_exits_2():
+    # the budget is checked before any diagonal is drawn: a (10^15, 16)
+    # draw would need petabytes
+    code, stdout, stderr = run_cli("min-ent", str(DATA / "g16_5_9.txt"), "--mode", "randomized",
+                                   "--budget", str(10**15))
+    assert code == 2 and stdout == "" and "Traceback" not in stderr
+    assert stderr == f"error: randomized budget {10**15} outside 0..cap = {2**20}\n"
+
+
 def test_bounds_command_flags_violation():
     code, stdout, _ = run_cli(
         "bounds", "--record", "3 6 2 5 3 unknown fabricated", "--format", "machine"

@@ -126,6 +126,30 @@ def test_bit_plane_word_boundaries(field):
     assert res.fact.exact and res.fact.value == 1
 
 
+@pytest.mark.parametrize("field", [F2, F3, F4, F9], ids=lambda f: f"GF{f.order}")
+def test_bit_plane_distance_counts_differing_symbols(field):
+    # the kernel against a symbol-by-symbol count, for every word width
+    # and in both broadcast shapes its callers use; n = 300 makes the
+    # counts uint16
+    rng = np.random.default_rng(54)
+    q = field.order
+    for m in (8, 9, 16, 17, 32, 33, 64, 65):
+        for n in (m, 300):
+            planes = _planes(field, m, n)
+            assert planes.counts == (np.uint16 if n > 255 else np.uint8)
+            x = rng.integers(0, q, size=(3, 5, m), dtype=np.uint8)
+            y = rng.integers(0, q, size=(3, 7, m), dtype=np.uint8)
+            y[:, 0] = x[:, 0]  # distance 0 too
+            want = (y[:, :, None, :] != x[:, None, :, :]).sum(axis=-1)
+            X, Y = planes.encode(x), planes.encode(y)
+            # the scan: (..., |Y|, 1) against (..., 1, |X|)
+            got = planes.distance(X[..., None, :], Y[..., :, None])
+            assert got.dtype == planes.counts and np.array_equal(got, want), (m, n)
+            # the weight pass: (batch, head, 1) against (batch, 1, tail)
+            got = planes.distance(Y[..., :, None], X[..., None, :])
+            assert got.dtype == planes.counts and np.array_equal(got, want), (m, n)
+
+
 def test_under_reporting_kernel_raises(monkeypatch):
     # each witness is weighed again, so a kernel that reports one less
     # than the true distance can never produce a false exact fact

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -442,6 +443,28 @@ def test_min_entanglement_matches_one_rank_per_diagonal():
             assert (res.c_min, res.diagonal) == want
     with pytest.raises(BudgetError):
         prop.min_entanglement_search(C, cap=2**6 - 1)
+
+
+def test_min_entanglement_randomized_budget_is_held_to_the_cap():
+    C = random_code(F9, 6, 2, np.random.default_rng(69))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="outside 0..cap"):
+            prop.min_entanglement_search(C, mode="randomized", budget=10**15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(BudgetError):
+        prop.min_entanglement_search(C, mode="randomized", budget=-1)
+    # a certificate replays under its own budget and cap, with the same check
+    step = prop.min_entanglement_search_step(C, mode="randomized", seed=2, budget=64, cap=64)
+    text = prop.step_to_text(step)
+    assert "cert budget int 64\n" in text
+    prop.replay_step(prop.step_from_text(text))
+    with pytest.raises(BudgetError, match="outside 0..cap"):
+        prop.replay_step(prop.step_from_text(text.replace("cert budget int 64\n",
+                                                          "cert budget int 65\n")))
 
 
 def test_min_entanglement_modes_and_caps():

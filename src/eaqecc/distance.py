@@ -14,8 +14,8 @@ Two walks cover every search, both built by one expansion step
   tighten the upper bound, until the two meet or a budget runs out.
   Its pass order and lower-bound rule (`_next_form`, `_lower_bound`)
   also drive the cost estimate of `information_sets_if_cheaper`, which
-  decides, within the enumeration cap, whether this walk or the scan
-  settles a fact sooner.
+  keeps the bound as a running sum and decides, within the enumeration
+  cap, whether this walk or the scan settles a fact sooner.
   Forms whose pivot sets are cyclic rotations of each other share
   their passes once the code (and the subcode, for relative facts) is
   proved invariant under a cyclic shift; that proof runs once, before
@@ -691,17 +691,24 @@ def information_sets_if_cheaper(q: int, n: int, k: int, upper: int) -> int | Non
     give `upper`, and it stops once the lower bound reaches `upper`.
     The messages are those it charges to its work budget; a pass at or
     past `upper` is charged but never read, so it costs no time.  The
-    replay stops as soon as its time passes enumeration's.
+    replay stops as soon as its time passes enumeration's.  Each pass
+    raises one form's r by one, so the lower bound's sum and its
+    fully-enumerated flag are kept as they change, not re-summed.
     """
     budget_us = _ENUM_CALL_US + _ENUM_CLASS_US * q**k / (q - 1)
     forms = [_Tally(k - min(k, n - i * k)) for i in range(-(-n // k))]
     spent_us = _IS_CALL_US + _IS_FORM_US * len(forms)
     threshold, messages = n + 1, 0
+    fresh = n // k  # _lower_bound's sum at r = 0: the forms with no deficit
+    full = False  # a form enumerated up to k
     while spent_us < budget_us:
-        if _lower_bound(forms, k, n, threshold) >= threshold:
+        lb = max(fresh, threshold) if full else fresh
+        if min(lb, n + 1) >= threshold:
             return messages
         form = _next_form(forms, q, k)
         form.r += 1
+        fresh += form.r >= form.deficit
+        full = full or form.r >= k
         size = _pass_size(q, k, form.r)
         messages += size
         if form.r < threshold:

@@ -6,7 +6,9 @@ delta.  Expansion closes a store under a chosen subset of the eight
 single-step rules (bounded by a maximum length) in one walk over all of
 its records at once; compression reads off the same walk which records
 no other stored record can reach, so a compressed table is
-dominance-free.
+dominance-free.  The walk gates each rule once per (q, delta), not once
+per root, which matters when nearly every cell is a root (an expanded
+table read back in).
 
 Record line format: `q n kappa delta c purity source`, '#' comments
 allowed.  Bundled transcriptions of the published qubit and qutrit
@@ -29,12 +31,15 @@ from .errors import BudgetError, DataIntegrityError, RecordParseError
 DEFAULT_RULES = frozenset({1, 2, 3, 4, 5, 7})
 # the most cells a closure may hold by `closure_cells`.  The bundled
 # qubit table up to n = 64 needs 95,808 (it settles 45,755, in about
-# 0.1 s on 2 vCPUs with CPython 3.11); one field passes the cap from
+# 0.09 s on 2 vCPUs with CPython 3.11); one field passes the cap from
 # n = 113 on
 CLOSURE_CELL_CAP = 500_000
 
 
-@dataclass(frozen=True)
+_setattr = object.__setattr__
+
+
+@dataclass(frozen=True, slots=True)
 class CodeRecord:
     q: int
     n: int
@@ -44,6 +49,19 @@ class CodeRecord:
     purity: str = "unknown"
     source: str = "constructed"
     note: str | None = None
+
+    # the generated frozen __init__ looks object.__setattr__ up once per
+    # field; expanded tables build tens of thousands of records
+    def __init__(self, q, n, kappa, delta, c, purity="unknown", source="constructed",
+                 note=None):
+        _setattr(self, "q", q)
+        _setattr(self, "n", n)
+        _setattr(self, "kappa", kappa)
+        _setattr(self, "delta", delta)
+        _setattr(self, "c", c)
+        _setattr(self, "purity", purity)
+        _setattr(self, "source", source)
+        _setattr(self, "note", note)
 
     @property
     def key(self):
@@ -164,7 +182,7 @@ def _rule_rows(rules, n_max, floor):
     return rows
 
 
-def _walk(roots, rules, n_max):
+def _walk(roots, rules, n_max, root_cells=None):
     """Close the union of the roots under the rules in one pass over classes.
 
     A class holds the cells offered at one (delta, root index).  Every
@@ -173,53 +191,68 @@ def _walk(roots, rules, n_max):
     first come, first served, settles each cell at its best
     (delta, root) on first visit.  A class grows while it is walked, and
     its cells one delta lower wait in the next class of the same root,
-    which no other class feeds.  Returns three maps over
-    (q, n, kappa, c, pure) cells: (delta, root_index) reachable in zero or
-    more steps; the best delta reachable in one or more steps, at root
-    cells only; and the (previous cell, rule) that settled each cell (None
-    at a root).  Raises BudgetError, before anything is allocated, when
-    closure_cells exceeds CLOSURE_CELL_CAP.
+    which no other class feeds.  The rule rows are gated once per
+    (q, delta), and a move that leaves (n, kappa, c) and purity as they
+    are is dropped there: it offers its own cell a lower delta, which
+    never wins.  The one-step bests at the roots keep every row.
+
+    root_cells holds each root's (q, n, kappa, c, pure) cell when the
+    caller has it.  Returns three maps over (q, n, kappa, c, pure) cells:
+    (delta, root_index) reachable in zero or more steps; the best delta
+    reachable in one or more steps, at root cells only; and the
+    (previous cell, rule) that settled each cell (None at a root).
+    Raises BudgetError, before anything is allocated, when closure_cells
+    exceeds CLOSURE_CELL_CAP.
     """
     bound = closure_cells(roots, n_max)
     if bound > CLOSURE_CELL_CAP:
         raise BudgetError(f"the closure up to n = {n_max} may hold {bound} cells, "
                           f"past the cap of {CLOSURE_CELL_CAP}")
+    if root_cells is None:
+        root_cells = [_root_cell(rec) for rec in roots]
     # no rule lowers a coordinate it does not limit
     floor = min([0] + [min(r.n, r.kappa, r.delta, r.n - r.kappa - r.c) for r in roots])
     rows = _rule_rows(rules, n_max, floor)
     cells, parent = {}, {}
     todo = []  # heap of classes (-delta, root index, cells in arrival order)
-    for idx, rec in enumerate(roots):
-        cell = rec.key + (int(rec.is_pure_at_delta()),)
+    for idx, (rec, cell) in enumerate(zip(roots, root_cells)):
         cur = cells.get(cell)
         if cur is None or rec.delta > cur[0]:
             cells[cell] = (rec.delta, idx)
             parent[cell] = None
             todo.append((-rec.delta, idx, [cell]))
     heapq.heapify(todo)
+    # (q, delta) -> the moves from impure and from pure cells: a rule's
+    # row past its gate, with its delta shift last
+    gated = {}
     while todo:
         neg_delta, idx, fifo = heapq.heappop(todo)
         delta = -neg_delta
-        here, below = (delta, idx), []
+        here = (delta, idx)
+        if len(fifo) == 1 and cells[fifo[0]] != here:
+            continue  # most roots of a dense store are settled before their class
         q = roots[idx].q
-        # a move is a rule's row past its gate, with the delta and value
-        # it offers and the class its cells join
-        moves = ([], [])
-        for (pure_low, q_low, d_low), (rule, dn, dk, dd, dc, *limits) in rows:
-            if q >= q_low and delta >= d_low:
-                move = (rule, dn, dk, dc, *limits, delta + dd, (delta + dd, idx),
-                        below if dd else fifo)
-                for pure in range(pure_low, 2):
-                    moves[pure].append(move)
+        moves = gated.get((q, delta))
+        if moves is None:
+            moves = gated[q, delta] = ([], [])
+            for (pure_low, q_low, d_low), (rule, dn, dk, dd, dc, pure2, *limits) in rows:
+                if q >= q_low and delta >= d_low:
+                    for pure in range(pure_low, 2):
+                        if dn or dk or dc or pure2 != pure:
+                            moves[pure].append((rule, dn, dk, dc, pure2, *limits, dd))
+        below = []
+        # by delta shift, 0 or -1: the delta offered, its value and the
+        # class its cells join
+        offers = ((delta, here, fifo), (delta - 1, (delta - 1, idx), below))
         for cell in fifo:
             if cells[cell] != here:
                 continue
             _, n, kappa, c, pure = cell
             room = n - kappa - c
-            for rule, dn, dk, dc, pure2, n_low, n_high, k_low, r_low, d2, value, target in (
-                    moves[pure]):
+            for rule, dn, dk, dc, pure2, n_low, n_high, k_low, r_low, dd in moves[pure]:
                 if n_low <= n <= n_high and kappa >= k_low and room >= r_low:
                     cell2 = (q, n + dn, kappa + dk, c + dc, pure2)
+                    d2, value, target = offers[dd]
                     cur = cells.get(cell2)
                     if cur is None or d2 > cur[0] or (d2 == cur[0] and idx < cur[1]):
                         cells[cell2] = value
@@ -228,9 +261,13 @@ def _walk(roots, rules, n_max):
         if below:
             heapq.heappush(todo, (1 - delta, idx, below))
     # each cell was expanded once, at its final value, so a root cell's
-    # best one-step delta comes from the cells one move before it
+    # best one-step delta comes from the cells one move before it; a cell
+    # settled by a step holds that best already
     stepped = {}
-    for cell in {rec.key + (int(rec.is_pure_at_delta()),) for rec in roots}:
+    for cell in set(root_cells):
+        if parent[cell] is not None:
+            stepped[cell] = cells[cell][0]
+            continue
         q, n, kappa, c, pure = cell
         for (pure_low, q_low, d_low), (_, dn, dk, dd, dc, pure2, n_low, n_high, k_low,
                                        r_low) in rows:
@@ -245,20 +282,27 @@ def _walk(roots, rules, n_max):
     return cells, stepped, parent
 
 
+def _root_cell(rec):
+    """The (q, n, kappa, c, pure) cell a record sits at."""
+    return rec.key + (int(rec.is_pure_at_delta()),)
+
+
 class ExpandedStore:
     """Closure of a store under a rule subset, from one multi-source walk.
 
     cells maps (q, n, kappa, c, pure) to (delta, root_index): the best
     delta reachable from the roots and the first root reaching it.
     stepped holds, at root cells only, the best delta reachable in one or
-    more steps.
+    more steps.  root_cells holds each root's cell, in root order.
     """
 
     def __init__(self, roots, rules, n_max):
         self.roots = list(roots)
         self.rules = frozenset(rules)
         self.n_max = n_max
-        self.cells, self.stepped, self._parent = _walk(self.roots, self.rules, n_max)
+        self.root_cells = [_root_cell(rec) for rec in self.roots]
+        self.cells, self.stepped, self._parent = _walk(self.roots, self.rules, n_max,
+                                                       self.root_cells)
 
     def _tag(self, cell, tags):
         """The comma-joined rule chain from its root to the cell, memoized in
@@ -277,23 +321,23 @@ class ExpandedStore:
             tags[cell] = tag
         return tag
 
-    def _records(self, cells, with_chains):
-        """Best records, one per (q, n, kappa, c) among `cells`, in key order.
+    def _records(self, items, with_chains):
+        """Best records, one per (q, n, kappa, c) among the (cell, (delta,
+        root index)) `items`, in key order.
 
         A root holding the best delta of its own cell is emitted as
         itself; any other record is derived from the first root reaching
         it, tagged with the rule chain from that root when asked.
         """
         best = {}
-        for cell in cells:
-            d, idx = self.cells[cell]
+        for cell, (d, idx) in items:
             key, pure = cell[:4], cell[4]
             cur = best.get(key)
             if cur is None or d > cur[0] or (d == cur[0] and pure > cur[1]):
                 best[key] = (d, pure, idx)
         own = {}
-        for rec in self.roots:
-            own.setdefault(rec.key + (int(rec.is_pure_at_delta()), rec.delta), rec)
+        for rec, cell in zip(self.roots, self.root_cells):
+            own.setdefault(cell + (rec.delta,), rec)
         tags, out = {}, []
         for key in sorted(best):
             d, pure, idx = best[key]
@@ -309,7 +353,7 @@ class ExpandedStore:
 
     def records(self, with_chains=False):
         """Materialized best records, one per (q, n, kappa, c) cell (see _records)."""
-        return self._records(self.cells, with_chains)
+        return self._records(self.cells.items(), with_chains)
 
 
 def expand(store, rules=DEFAULT_RULES, n_max=None) -> ExpandedStore:
@@ -334,8 +378,7 @@ def compress(records, rules=DEFAULT_RULES, n_max=None):
     """
     exp = records if isinstance(records, ExpandedStore) else expand(records, rules, n_max)
     survivors, kept = [], set()
-    for rec in exp.roots:
-        cell = rec.key + (int(rec.is_pure_at_delta()),)
+    for rec, cell in zip(exp.roots, exp.root_cells):
         if cell + (rec.delta,) in kept:
             continue
         top = exp.cells[cell][0]  # above the record's own delta only from others
@@ -360,10 +403,10 @@ def query(store, q=None, n=None, kappa=None, c=None, rules=DEFAULT_RULES, n_max=
             n_max = n if n is not None else max((r.n for r in store), default=1)
         exp = expand(store, rules, n_max)
     hits = {}
-    cells = [cell for cell in exp.cells
+    items = [(cell, got) for cell, got in exp.cells.items()
              if (q is None or cell[0] == q) and (n is None or cell[1] == n)
              and (kappa is None or cell[2] == kappa) and (c is None or cell[3] == c)]
-    for rec in exp._records(cells, with_chains=False):
+    for rec in exp._records(items, with_chains=False):
         sel = (rec.q, rec.n, rec.kappa)
         cur = hits.get(sel)
         if (

@@ -6,8 +6,9 @@ package uses, so agreement is meaningful.  The rest are the plain
 loops the package once ran (the one-heap table closure, row reduction
 one row at a time, the greedy basis extension, one rank per diagonal,
 one extension and scan per hull-raising column, the information-set
-pass order that re-costs every form), kept as references for the
-versions that replaced them.
+pass order that re-costs every form, the cost estimate that re-sums
+the lower bound on every pass), kept as references for the versions
+that replaced them.
 """
 
 import heapq
@@ -16,7 +17,7 @@ import math
 
 import numpy as np
 
-from eaqecc import propagate
+from eaqecc import distance, propagate
 from eaqecc.propagate import extend_with_column
 
 
@@ -257,3 +258,23 @@ def recosting_next_form(forms, q, k):
 
     candidates = [f for f in forms if f.r < k]
     return min(candidates, key=lambda f: (step_cost(f), f.r, forms.index(f)), default=None)
+
+
+def resumming_information_sets_if_cheaper(q, n, k, upper):
+    """distance.information_sets_if_cheaper with the lower bound re-summed
+    over every form on every pass of its replay."""
+    budget_us = distance._ENUM_CALL_US + distance._ENUM_CLASS_US * q**k / (q - 1)
+    forms = [distance._Tally(k - min(k, n - i * k)) for i in range(-(-n // k))]
+    spent_us = distance._IS_CALL_US + distance._IS_FORM_US * len(forms)
+    threshold, messages = n + 1, 0
+    while spent_us < budget_us:
+        if distance._lower_bound(forms, k, n, threshold) >= threshold:
+            return messages
+        form = distance._next_form(forms, q, k)
+        form.r += 1
+        size = distance._pass_size(q, k, form.r)
+        messages += size
+        if form.r < threshold:
+            spent_us += distance._IS_PASS_US + distance._IS_MESSAGE_US * size
+        threshold = upper
+    return None

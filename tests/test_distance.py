@@ -23,6 +23,7 @@ from oracles import (
     brute_min_distance,
     brute_min_outside,
     recosting_next_form,
+    resumming_information_sets_if_cheaper,
     scalar_class_messages,
     weight,
 )
@@ -340,6 +341,30 @@ def test_pass_order_matches_the_recosting_oracle(monkeypatch):
     monkeypatch.setattr(distance, "_next_form", recosting_next_form)
     assert [distance.information_sets_if_cheaper(*args) for args in grid] == estimates
     assert [information_set_bounds(C.field, C.G.array) for C in codes] == runs
+
+
+def test_cost_estimate_matches_the_resumming_replay():
+    # the estimate keeps the lower bound's sum and flag as passes raise
+    # one form's r; the replay that re-sums them over every form gives the
+    # same messages on the pass-order test's seeded grid (the same draws)
+    # and on every small case
+    rng = np.random.default_rng(49)
+    for _ in range(400):
+        rng.choice((2, 3, 4, 9))
+        k = int(rng.integers(1, 13))
+        for _ in range(int(rng.integers(1, 8))):
+            rng.integers(0, k + 1), rng.integers(0, k + 1)
+    grid = []
+    for _ in range(300):
+        q, n = int(rng.choice((2, 3, 4, 9))), int(rng.integers(2, 41))
+        k = int(rng.integers(1, n))
+        grid.append((q, n, k, int(rng.integers(1, n - k + 2))))
+    # an upper past the Singleton bound n - k + 1 lets a form finish first
+    grid += [(q, n, k, upper) for q in (2, 3, 4, 9) for n in range(2, 21) for k in range(1, n)
+             for upper in range(1, n + 1)]
+    estimates = [distance.information_sets_if_cheaper(*args) for args in grid]
+    assert any(estimates) and None in estimates
+    assert estimates == [resumming_information_sets_if_cheaper(*args) for args in grid]
 
 
 def leaf_messages(q, k, supports):

@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import itertools
 import pathlib
+import pickle
 import random
 import shutil
 
@@ -35,6 +37,27 @@ def test_record_line_round_trip():
     noted = CodeRecord(3, 19, 0, 20, 19, "unknown", "paper-table", note="verbatim_flag: x")
     back = CodeRecord.from_line(noted.to_line())
     assert back.note == "verbatim_flag: x"
+
+
+def test_record_is_a_frozen_value():
+    r = CodeRecord(3, 19, 0, 20, 19, "pure_to:20", "paper-table", note="verbatim_flag: x")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.delta = 21
+    assert r.delta == 20
+    same = CodeRecord(q=3, n=19, kappa=0, delta=20, c=19, purity="pure_to:20",
+                      source="paper-table", note="verbatim_flag: x")
+    assert same == r and hash(same) == hash(r)
+    assert hash(r) == hash((3, 19, 0, 20, 19, "pure_to:20", "paper-table", "verbatim_flag: x"))
+    assert CodeRecord(3, 19, 0, 20, 19) == CodeRecord(3, 19, 0, 20, 19, "unknown", "constructed")
+    lower = dataclasses.replace(r, delta=19)
+    assert (lower.delta, lower.purity, lower.note) == (19, "pure_to:20", "verbatim_flag: x")
+    assert lower != r and r.delta == 20
+    assert pickle.loads(pickle.dumps(r)) == r
+    assert CodeRecord.from_line(r.to_line()) == r
+    store = load_bundled("qutrit")
+    exp = expand(store, n_max=12)
+    assert all(type(x) is CodeRecord for x in exp.records(with_chains=True))
+    assert all(type(x) is CodeRecord for x in query(exp, n=12))
 
 
 def test_record_parse_errors_carry_line_numbers():
@@ -223,6 +246,19 @@ def test_walk_settles_bundled_cells_as_the_heap_walk(which):
     roots = list(load_bundled(which))
     for rules, n_max in itertools.product((DEFAULT_RULES, set(range(1, 9))), (16, 20)):
         _assert_walk_matches_heap_walk(roots, rules, n_max)
+
+
+@pytest.mark.parametrize("rules", [DEFAULT_RULES, frozenset(range(1, 9))], ids=["default", "all"])
+def test_walk_settles_dense_roots_as_the_heap_walk(rules):
+    # every record of an expansion is a root, as when `table expand --out`
+    # feeds `table compress --file`; pure copies two above their record's
+    # delta win the impure cell of the same parameters by rule 3's move
+    # from a pure cell, the one rule-3 move the walk keeps
+    records = expand(load_bundled("qutrit"), rules=rules, n_max=12).records()
+    roots = records + [dataclasses.replace(r, purity="pure", delta=r.delta + 2)
+                       for r in records[::3]]
+    _assert_walk_matches_heap_walk(roots, rules, 12)
+    assert compress(roots, rules=rules, n_max=12) == _oracle_compress(roots, rules, 12)
 
 
 @pytest.mark.parametrize("rule", range(1, 9))

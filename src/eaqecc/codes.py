@@ -2,8 +2,13 @@
 
 A LinearCode is defined by a full-row-rank generator matrix, kept in
 reduced row echelon form so equality means equality of row spaces.
-Duals, Hermitian duals, hulls, and distance facts are computed lazily
-and cached; codes themselves are immutable.
+Duals, Hermitian duals, hulls and the hull code are computed lazily and
+cached; codes themselves are immutable.  Exact distance facts are cached
+too, so each costs one engine run per code object: d from `min_distance`
+or from the whole-code fact of `relative_distance`, and the
+(outside, whole) pair of `relative_distance` per subcode.  Facts a work
+budget leaves open are not cached.  A code read from text starts with
+an empty cache.
 """
 
 from __future__ import annotations
@@ -114,10 +119,12 @@ class LinearCode:
         return self.hermitian_hull()[1]
 
     def hull_code(self) -> "LinearCode":
-        basis, ell = self.hermitian_hull()
-        if ell == 0:
-            return LinearCode(self.field, MatrixFq.zeros(self.field, 0, self.n))
-        return LinearCode(self.field, basis)
+        if "hull_code" not in self._cache:
+            basis, ell = self.hermitian_hull()
+            if ell == 0:
+                basis = MatrixFq.zeros(self.field, 0, self.n)
+            self._cache["hull_code"] = LinearCode(self.field, basis)
+        return self._cache["hull_code"]
 
     def gram_hermitian(self) -> MatrixFq:
         return self.G @ self.G.hermitian_transpose()
@@ -185,6 +192,10 @@ def relative_distance(
 
     sub must be a proper subcode of big, possibly {0}.  One enumeration
     pass or one information-set run (see `_distance_facts`) gives both.
+    The preconditions are checked on every call.  A pair of exact facts
+    is cached on big, keyed by sub's generator, and an exact whole fact
+    also settles big's `min_distance`; a fact left open by the budget is
+    recomputed on the next call, as in `min_distance`.
     """
     if big.field != sub.field or big.n != sub.n:
         raise PreconditionError("codes live in different spaces")
@@ -194,7 +205,15 @@ def relative_distance(
         raise PreconditionError("difference set is empty: the codes coincide")
     if big.k == 0:
         raise PreconditionError("the zero code has no nonzero words")
-    return _distance_facts(big, sub, enum_cap, work_budget, None)
+    key = ("rel", sub.G)
+    facts = big._cache.get(key)
+    if facts is None:
+        facts = _distance_facts(big, sub, enum_cap, work_budget, None)
+        if facts[1].exact:
+            big._cache.setdefault("exact_d", facts[1])
+            if facts[0].exact:
+                big._cache[key] = facts
+    return facts
 
 
 def _distance_facts(code: LinearCode, sub, enum_cap, work_budget, target):

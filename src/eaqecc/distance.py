@@ -689,30 +689,33 @@ def information_sets_if_cheaper(q: int, n: int, k: int, upper: int) -> int | Non
     i with min(k, n - i k) fresh columns, in its own pass order
     (`_next_form`, `_lower_bound`): its first pass reads the rows that
     give `upper`, and it stops once the lower bound reaches `upper`.
-    The messages are those it charges to its work budget; a pass at or
-    past `upper` is charged but never read, so it costs no time.  The
-    replay stops as soon as its time passes enumeration's.  Each pass
-    raises one form's r by one, so the lower bound's sum and its
-    fully-enumerated flag are kept as they change, not re-summed.
+    The messages are those it charges to its work budget.  The replay
+    stops as soon as its time passes enumeration's.  Each pass raises
+    one form's r by one, so the lower bound's sum is kept as it changes,
+    not re-summed.
+
+    No form reaches r = k (`_lower_bound`'s fully-enumerated case) within
+    enumeration's time: its passes would read all (q^k - 1) / (q - 1)
+    messages, each dearer than a scalar class, on top of a fixed cost
+    above enumeration's.  Every pass is read, as it
+    runs at r no greater than the lower bound, below `upper`; a form with
+    a deficit never gets ahead of one without, which costs no more at
+    equal r and comes first in `_next_form`.
     """
     budget_us = _ENUM_CALL_US + _ENUM_CLASS_US * q**k / (q - 1)
     forms = [_Tally(k - min(k, n - i * k)) for i in range(-(-n // k))]
     spent_us = _IS_CALL_US + _IS_FORM_US * len(forms)
     threshold, messages = n + 1, 0
     fresh = n // k  # _lower_bound's sum at r = 0: the forms with no deficit
-    full = False  # a form enumerated up to k
     while spent_us < budget_us:
-        lb = max(fresh, threshold) if full else fresh
-        if min(lb, n + 1) >= threshold:
+        if fresh >= threshold:
             return messages
         form = _next_form(forms, q, k)
         form.r += 1
         fresh += form.r >= form.deficit
-        full = full or form.r >= k
         size = _pass_size(q, k, form.r)
         messages += size
-        if form.r < threshold:
-            spent_us += _IS_PASS_US + _IS_MESSAGE_US * size
+        spent_us += _IS_PASS_US + _IS_MESSAGE_US * size
         threshold = upper
     return None
 

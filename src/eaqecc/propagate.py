@@ -169,12 +169,6 @@ def _class_column_blocks(C: LinearCode, norm_reps):
         yield X[ok]
 
 
-def _class_columns(C: LinearCode, norm_reps):
-    """The columns of `_class_column_blocks`, one at a time."""
-    for X in _class_column_blocks(C, norm_reps):
-        yield from X
-
-
 def _min_weight_messages(C: LinearCode):
     """(d, M): the minimum distance of C and one message per scalar class
     of its words of weight d, as the rows of M.
@@ -837,17 +831,21 @@ def replay_step(step: PropagationStep):
     got, recorded = rule.transform(code, datum), _cert_value(cert, rule.output, LinearCode)
     if got != recorded:
         raise EaqeccError(f"replay mismatch for {rid}: derived code differs")
-    # the recorded code equals got and may carry cached distances
+    # the recorded code equals got; lifting it rather than got reuses the
+    # exact distance facts it cached in-process (none after step_from_text)
     return _check_output(step, _lift(rid, Q, recorded)) if rule.lifted else got
 
 
 def _check_input_delta(rid: str, C: LinearCode, Q: EaqeccParams):
-    """Recompute the delta of the ingredient C and hold the recorded input to it.
+    """Compute the delta of the ingredient C and hold the recorded input to it.
 
     Enumeration settles delta while q^(n-k) stays within
     MORE_ENT_VERIFY_CAP, information sets within the construction's
     work budget beyond it; a delta they leave open is not compared.  A
-    recorded lower bound must not exceed the true delta.
+    recorded lower bound must not exceed the true delta.  In-process, C
+    is the certificate's code and an exact delta it already measured is
+    read from its cache; a step read back with `step_from_text` has
+    fresh codes, so every fact is recomputed.
     """
     delta = hermitian_construct(C, enum_cap=MORE_ENT_VERIFY_CAP).delta
     if not delta.exact:

@@ -4,6 +4,7 @@ import os
 import pathlib
 
 import eaqecc
+from eaqecc import codes
 from eaqecc import propagate as prop
 from eaqecc.distance import span_values
 
@@ -23,3 +24,16 @@ def qualifying_word(C):
             if not hull.contains_vector(w) and prop.hermitian_self_product(C.field, w) != 0:
                 return w
     return None
+
+
+def count_engine_runs(monkeypatch):
+    """A list that gains one (code, subcode) entry per `codes._distance_facts` run."""
+    runs = []
+    real = codes._distance_facts
+
+    def spy(code, sub, *args):
+        runs.append((code, sub))
+        return real(code, sub, *args)
+
+    monkeypatch.setattr(codes, "_distance_facts", spy)
+    return runs

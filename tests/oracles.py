@@ -231,6 +231,12 @@ def min_entanglement_by_diagonal(C, mode="exhaustive", seed=0, budget=10**4):
     return best
 
 
+def class_columns(C, norm_reps):
+    """The columns of `propagate._class_column_blocks`, one at a time."""
+    for X in propagate._class_column_blocks(C, norm_reps):
+        yield from X
+
+
 def best_column_by_distance(C, columns):
     """(column, distance): the first of `columns` whose extension has the
     greatest minimum distance, one extension and one span scan per
@@ -262,7 +268,8 @@ def recosting_next_form(forms, q, k):
 
 def resumming_information_sets_if_cheaper(q, n, k, upper):
     """distance.information_sets_if_cheaper with the lower bound re-summed
-    over every form on every pass of its replay."""
+    over every form on every pass of its replay, fully-enumerated flag
+    included, and no time charged for a pass at or past upper."""
     budget_us = distance._ENUM_CALL_US + distance._ENUM_CLASS_US * q**k / (q - 1)
     forms = [distance._Tally(k - min(k, n - i * k)) for i in range(-(-n // k))]
     spent_us = distance._IS_CALL_US + distance._IS_FORM_US * len(forms)

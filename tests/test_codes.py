@@ -9,9 +9,11 @@ from eaqecc.codes import (
     random_code,
     relative_distance,
 )
+from eaqecc.construct import hermitian_construct, intersection
 from eaqecc.errors import BudgetError, PreconditionError
 from eaqecc.fields import GF
 from eaqecc.matrix import MatrixFq, gf_matmul
+from helpers import count_engine_runs
 from oracles import (
     brute_codewords,
     brute_min_distance,
@@ -130,9 +132,9 @@ def test_min_weight_outside_zero_subcode_equals_min_distance():
     assert min_weight_outside(C, zero).value == C.min_distance().value
     # past the cap both run the information-set loop, the zero subcode included
     for budget in (dist.DEFAULT_WORK_BUDGET, 1):
-        fresh = LinearCode(F9, C.G)  # min_distance caches its facts
-        whole = fresh.min_distance(enum_cap=1, work_budget=budget)
-        out, allf = relative_distance(C, zero, enum_cap=1, work_budget=budget)
+        # both calls cache their exact facts on the code they measure
+        whole = LinearCode(F9, C.G).min_distance(enum_cap=1, work_budget=budget)
+        out, allf = relative_distance(LinearCode(F9, C.G), zero, enum_cap=1, work_budget=budget)
         assert whole.method == "information_sets"
         for fact in (out, allf):
             assert (fact.value, fact.certainty, fact.method, fact.witness, fact.upper) == (
@@ -174,6 +176,84 @@ def test_relative_distance_reports_both_facts():
     sub = LinearCode(F3, [[1, 1, 0, 0]])
     out, allf = relative_distance(C, sub)
     assert allf.value == 2 and out.value == 2
+
+
+def test_hermitian_construct_measures_a_code_once(monkeypatch):
+    """A second construction on one code runs no engine, nor does d of its
+    dual afterwards; the same code built afresh is measured again."""
+    runs = count_engine_runs(monkeypatch)
+    C = random_code(F9, 8, 3, np.random.default_rng(40))
+    assert C.hull_dim < C.n - C.k  # delta is relative to the hull
+    first = hermitian_construct(C)
+    assert len(runs) == 1 and runs[0][1] is C.hull_code()
+    assert hermitian_construct(C) == first and len(runs) == 1
+    d = C.hermitian_dual().min_distance()
+    assert len(runs) == 1
+    assert hermitian_construct(LinearCode(F9, C.G)) == first and len(runs) == 2
+    assert d.exact and d.value == brute_min_distance(F9, C.hermitian_dual().G.array)
+
+
+def test_open_relative_facts_are_not_cached(monkeypatch):
+    """Facts a budget leaves open are recomputed, and settle d only once exact."""
+    runs = count_engine_runs(monkeypatch)
+    C = random_code(F9, 7, 3, np.random.default_rng(24))
+    sub = LinearCode(F9, C.G.array[:1])
+    out, whole = relative_distance(C, sub, enum_cap=1, work_budget=1)
+    assert not out.exact and not whole.exact
+    assert not C.min_distance(enum_cap=1, work_budget=1).exact and len(runs) == 2
+    out, whole = relative_distance(C, sub, enum_cap=1, work_budget=1)
+    assert not out.exact and len(runs) == 3
+    out, whole = relative_distance(C, sub, enum_cap=1)
+    assert out.exact and whole.exact and len(runs) == 4
+    assert relative_distance(C, sub, enum_cap=1, work_budget=1) == (out, whole)
+    assert C.min_distance(enum_cap=1, work_budget=1) == whole and len(runs) == 4
+    scan = dist.span_weight_scan(F9, _adapted_rows(C, sub), sub_rows=1)
+    assert (out.value, whole.value) == (scan.outside_min, scan.min_weight)
+
+
+def test_exact_relative_fact_settles_min_distance(monkeypatch):
+    runs = count_engine_runs(monkeypatch)
+    C = random_code(F4, 9, 4, np.random.default_rng(41))
+    out, whole = relative_distance(C, LinearCode(F4, C.G.array[:2]))
+    assert whole.exact and len(runs) == 1
+    assert C.min_distance() is whole and C.min_distance(target=1) is whole
+    assert len(runs) == 1
+    assert whole.value == brute_min_distance(F4, C.G.array)
+
+
+def test_cached_code_still_checks_its_subcode():
+    rng = np.random.default_rng(42)
+    C = random_code(F9, 6, 3, rng)
+    sub = LinearCode(F9, C.G.array[:1])
+    facts = relative_distance(C, sub)
+    other = random_code(F9, 6, 1, rng)
+    assert not C.contains_code(other)
+    for bad in (other, LinearCode(F9, C.G), random_code(F9, 7, 1, rng)):
+        with pytest.raises(PreconditionError):
+            relative_distance(C, bad)
+    assert relative_distance(C, LinearCode(F9, sub.G)) is facts
+
+
+def test_relative_facts_are_cached_per_subcode():
+    C = LinearCode(F3, [[1, 1, 0, 0, 0], [0, 0, 1, 1, 1]])
+    subs = [LinearCode(F3, [[1, 1, 0, 0, 0]]), LinearCode(F3, MatrixFq.zeros(F3, 0, 5))]
+    for _ in range(2):
+        assert [relative_distance(C, sub)[0].value for sub in subs] == [3, 2]
+
+
+def test_hull_code_is_built_once():
+    """hull_code returns one object, equal to the intersection with the
+    Hermitian dual computed afresh, for trivial and nontrivial hulls."""
+    rng = np.random.default_rng(43)
+    cases = [LinearCode(F4, [[1, 1, 0, 0, 0], [0, 0, 1, 1, 0], [0, 0, 0, 0, 1]])]
+    cases += [random_code(field, 6, 2, rng) for field in (F4, F9) for _ in range(6)]
+    dims = set()
+    for C in cases:
+        hull = C.hull_code()
+        assert C.hull_code() is hull
+        assert hull == intersection(C, C.hermitian_dual()) == C.hermitian_dual().hull_code()
+        dims.add(hull.k)
+    assert 0 in dims and 2 in dims
 
 
 def test_scale_columns_identity_and_errors():

@@ -344,10 +344,10 @@ def test_pass_order_matches_the_recosting_oracle(monkeypatch):
 
 
 def test_cost_estimate_matches_the_resumming_replay():
-    # the estimate keeps the lower bound's sum and flag as passes raise
-    # one form's r; the replay that re-sums them over every form gives the
-    # same messages on the pass-order test's seeded grid (the same draws)
-    # and on every small case
+    # the estimate keeps the lower bound's sum as passes raise one form's
+    # r; the replay that re-sums it over every form, fully-enumerated flag
+    # included, gives the same messages on the pass-order test's seeded
+    # grid (the same draws) and on every small case
     rng = np.random.default_rng(49)
     for _ in range(400):
         rng.choice((2, 3, 4, 9))
@@ -359,7 +359,7 @@ def test_cost_estimate_matches_the_resumming_replay():
         q, n = int(rng.choice((2, 3, 4, 9))), int(rng.integers(2, 41))
         k = int(rng.integers(1, n))
         grid.append((q, n, k, int(rng.integers(1, n - k + 2))))
-    # an upper past the Singleton bound n - k + 1 lets a form finish first
+    # uppers past the Singleton bound n - k + 1 too
     grid += [(q, n, k, upper) for q in (2, 3, 4, 9) for n in range(2, 21) for k in range(1, n)
              for upper in range(1, n + 1)]
     estimates = [distance.information_sets_if_cheaper(*args) for args in grid]

@@ -22,7 +22,7 @@ from eaqecc.fields import GF
 from eaqecc.matrix import MatrixFq
 from eaqecc.tables import CodeRecord
 import oracles
-from helpers import qualifying_word
+from helpers import count_engine_runs, qualifying_word
 from oracles import brute_encode, brute_matmul, brute_min_distance, scalar_class_messages
 
 F3, F4, F9 = GF(3), GF(4), GF(9)
@@ -145,7 +145,7 @@ def test_congruence_columns_are_the_hull_raising_columns():
                         continue
                     brute.append(col)
             assert brute
-            assert [tuple(int(v) for v in x) for x in prop._class_columns(C, reps)] == brute
+            assert [tuple(int(v) for v in x) for x in oracles.class_columns(C, reps)] == brute
             checked += 1
             C = prop.extend_column(C)
         words = np.random.default_rng(q).integers(0, q, size=(20, n))
@@ -214,7 +214,7 @@ def test_best_column_matches_the_per_candidate_loop():
             C = random_code(F, n, k, rng)
             if not C.hull_dim < min(C.k, C.n - C.k):
                 continue
-            col, d = oracles.best_column_by_distance(C, prop._class_columns(C, reps))
+            col, d = oracles.best_column_by_distance(C, oracles.class_columns(C, reps))
             assert tuple(int(v) for v in prop._best_column(C, 0)[0]) == col
             d0 = brute_min_distance(F, C.G.array)
             words = oracles.brute_codewords(F, C.G.array)
@@ -726,6 +726,35 @@ def test_replay_rejects_a_recorded_input_delta_the_code_does_not_give():
         forged = prop.PropagationStep(step.rule_id, raised, out, step.certificate)
         with pytest.raises(EaqeccError, match="input code gives delta"):
             prop.replay_step(prop.step_from_text(prop.step_to_text(forged)))
+
+
+@pytest.mark.parametrize("rule_id", ["same_ent", "less_ent"])
+def test_replay_from_cached_codes_still_detects_a_tampered_delta(monkeypatch, rule_id):
+    """In-process replay reads every distance fact the certificate's codes
+    cached while the step ran; replay from text measures fresh codes.  A
+    recorded input or output delta one off is rejected either way."""
+    Q = q_from_dual_of(lcd_54())
+    step = (prop.same_entanglement_step(Q, search=True) if rule_id == "same_ent"
+            else prop.less_entanglement_step(Q))
+    runs = count_engine_runs(monkeypatch)
+    prop.replay_step(step)
+    assert runs == []
+    prop.replay_step(prop.step_from_text(prop.step_to_text(step)))
+    assert runs
+
+    def off(p):
+        return dataclasses.replace(p, delta=dataclasses.replace(p.delta, value=p.delta.value + 1))
+
+    forged = [
+        (prop.PropagationStep(rule_id, off(step.input_params), step.output_params,
+                              step.certificate), "input code gives delta"),
+        (prop.PropagationStep(rule_id, step.input_params, off(step.output_params),
+                              step.certificate), "recomputed"),
+    ]
+    for bad, match in forged:
+        for replayed in (bad, prop.step_from_text(prop.step_to_text(bad))):
+            with pytest.raises(EaqeccError, match=f"replay mismatch for {rule_id}: .*{match}"):
+                prop.replay_step(replayed)
 
 
 def _forge(step, name, code):

@@ -40,12 +40,22 @@ class Writer:
             print(f"{_tag:12s} {body}".rstrip(), file=self.stream)
 
 
+def _read(path) -> str:
+    """The text of a file; a file that cannot be read as text is an input error."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError:
+        raise EaqeccError(f"{path}: not a text file") from None
+    except OSError as exc:
+        raise EaqeccError(f"{path}: cannot read: {exc.strerror or exc}") from None
+
+
 def _load_code(path) -> LinearCode:
-    return LinearCode.from_text(Path(path).read_text())
+    return LinearCode.from_text(_read(path))
 
 
 def _load_vector(path) -> np.ndarray:
-    M, _ = MatrixFq.from_text(Path(path).read_text())
+    M, _ = MatrixFq.from_text(_read(path))
     if M.rows == 1:
         return M.array[0]
     if M.cols == 1:
@@ -54,7 +64,10 @@ def _load_vector(path) -> np.ndarray:
 
 
 def _write(path, text):
-    Path(path).write_text(text)
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise EaqeccError(f"{path}: cannot write: {exc.strerror or exc}") from None
 
 
 def _emit_params(w, params, label="params"):
@@ -222,7 +235,7 @@ def cmd_bounds(args, w):
     if args.record:
         records = [tables.CodeRecord.from_line(args.record)]
     elif args.file:
-        records = list(tables.ingest(Path(args.file).read_text().splitlines()))
+        records = list(tables.ingest(_read(args.file).splitlines()))
     else:
         raise EaqeccError("bounds needs --record or --file")
     violations = 0
@@ -240,7 +253,7 @@ def _table_records(args):
     if args.bundled:
         stores.append(tables.load_bundled(args.bundled))
     for path in args.file or ():
-        stores.append(tables.ingest(Path(path).read_text().splitlines()))
+        stores.append(tables.ingest(_read(path).splitlines()))
     if not stores:
         raise EaqeccError("table command needs --bundled and/or --file")
     merged = tables.TableStore()
@@ -444,7 +457,7 @@ def main(argv=None) -> int:
         status = args.func(args, Writer(args.format))
         sys.stdout.flush()
         return status
-    except (EaqeccError, FileNotFoundError) as exc:
+    except EaqeccError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:  # the reader left (`| head`): keep the exit-time flush quiet

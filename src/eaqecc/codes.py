@@ -3,7 +3,8 @@
 A LinearCode is defined by a full-row-rank generator matrix, kept in
 reduced row echelon form so equality means equality of row spaces.
 Duals, Hermitian duals, hulls and the hull code are computed lazily and
-cached; codes themselves are immutable.  Exact distance facts are cached
+cached, a code and its Hermitian dual holding one hull and one hull code;
+codes themselves are immutable.  Exact distance facts are cached
 too, so each costs one engine run per code object: d from `min_distance`
 or from the whole-code fact of `relative_distance`, and the
 (outside, whole) pair of `relative_distance` per subcode.  Facts a work
@@ -20,6 +21,10 @@ from .distance import DistanceFact
 from .errors import BudgetError, EaqeccError, InvalidFieldError, PreconditionError
 from .fields import FieldSpec
 from .matrix import MatrixFq, gf_matmul, in_row_space
+
+
+# cache entries a code and its Hermitian dual share, as both have one hull
+_HULL_KEYS = ("hull", "hull_code")
 
 
 class LinearCode:
@@ -84,17 +89,25 @@ class LinearCode:
     def hermitian_dual(self) -> "LinearCode":
         """Vectors x with sum_i x_i c_i^q = 0 for every codeword c.
 
-        The dual's own dual is this code, and the two share one hull, so
-        the dual's cache starts with both.
+        The dual's own dual is this code, and the two share one hull:
+        the dual's cache starts with this code and with the hull entries
+        (`_HULL_KEYS`) built so far, and either code hands the other the
+        entries it builds later.
         """
         if "hdual" not in self._cache:
             self.field._require_square()
             dual = LinearCode(self.field, self.G.conj().kernel())
             dual._cache["hdual"] = self
-            if "hull" in self._cache:
-                dual._cache["hull"] = self._cache["hull"]
+            for key in _HULL_KEYS:
+                if key in self._cache:
+                    dual._cache[key] = self._cache[key]
             self._cache["hdual"] = dual
         return self._cache["hdual"]
+
+    def _share_with_dual(self, key):
+        """Hand a hull entry to the Hermitian dual, when that is built."""
+        if "hdual" in self._cache:
+            self._cache["hdual"]._cache.setdefault(key, self._cache[key])
 
     def hermitian_hull(self):
         """(basis matrix, dimension) of the intersection with the Hermitian dual.
@@ -110,8 +123,7 @@ class LinearCode:
             if rank != basis.rows:
                 raise EaqeccError("hull basis rows are dependent")
             self._cache["hull"] = (R, rank)
-            if "hdual" in self._cache:
-                self._cache["hdual"]._cache.setdefault("hull", self._cache["hull"])
+            self._share_with_dual("hull")
         return self._cache["hull"]
 
     @property
@@ -124,6 +136,7 @@ class LinearCode:
             if ell == 0:
                 basis = MatrixFq.zeros(self.field, 0, self.n)
             self._cache["hull_code"] = LinearCode(self.field, basis)
+            self._share_with_dual("hull_code")
         return self._cache["hull_code"]
 
     def gram_hermitian(self) -> MatrixFq:

@@ -62,9 +62,16 @@ from .matrix import MatrixFq, gf_matmul, in_row_space
 DEFAULT_ENUM_CAP = 10**8
 DEFAULT_WORK_BUDGET = 10**8
 _BLOCK_TARGET = 1 << 16
-# words per batch of information-set supports: larger batches raise peak
-# memory and gain no measurable speed
-_BATCH_WORDS = 1 << 15
+# Words per batch of information-set supports, and the cap on a pass's
+# tail table, head chunk and span; `information_set_bounds` runs its
+# cyclic-shift test only before a pass of more messages than this.  Each
+# batch is one weighing call, so small batches pay numpy's per-call
+# costs more often and large ones leave the cache.  The paper pair (the
+# [29,14]_9 code's distance and its dual's outside the hull) took a
+# median 85 / 73 / 68 / 95 ms at 2^15 / 2^16 / 2^17 / 2^18 words, at a
+# traced peak of 0.40 / 0.56 / 0.89 / 1.63 MiB (2 vCPUs, CPython 3.11,
+# numpy 2.4).
+_BATCH_WORDS = 1 << 17
 _TENSOR_ELEM_CAP = 1 << 28
 # The cost model of `information_sets_if_cheaper`, in microseconds, on 2
 # vCPUs (CPython 3.11, numpy 2.4).  The per-class and per-message costs
@@ -487,8 +494,13 @@ class _ISState:
 
         wts[j] holds the weights of the words of supports[j]; a leaf is
         charged before its words are offered, so a budget that runs out
-        stops at the leaf where it ran out.
+        stops at the leaf where it ran out.  Most batches hold no word
+        below the threshold, and one minimum over the batch settles them
+        for less than a minimum per leaf.
         """
+        if wts.min() >= self.threshold:
+            self.charge(len(wts), wts.shape[1])
+            return
         charged = 0
         mins = wts.min(axis=1)
         for j in np.flatnonzero(mins < self.threshold).tolist():
@@ -566,7 +578,9 @@ def _bz_weight_pass(state: _ISState, form: _SystematicForm, w: int):
     head words and support indices are built for one span of
     _BATCH_WORDS supports (one batch, when larger) at a time, so a
     budget that stops a pass early has built little more than its
-    batches need.
+    batches need.  Each batch is weighed in one kernel call: with
+    2^17-word batches the paper code's weight-5 passes weigh 32 supports
+    of 4096 messages a call, against 8 at 2^15 words.
     """
     field = state.field
     q = field.order
@@ -745,15 +759,18 @@ def information_set_bounds(
     outside the subcode meet (the whole code's bounds meet no later).
 
     `rounds` holds each form's r: the message weights it enumerated, or
-    was credited with.  Just before the first pass that enumerates more
-    than _BATCH_WORDS messages, and only when two forms' pivot sets are
-    cyclic rotations of each other, one test checks that a one-column
-    cyclic shift maps the code (and the subcode) onto itself.  If it
-    does, a pass on one form counts for every form in its rotation
-    class, passes already run included: a word with at most r nonzeros
-    on a rotated pivot set is the rotation of a word with at most r
-    nonzeros on the enumerated one, of the same weight and inside the
-    subcode exactly when that word is.
+    was credited with.  Passes weigh supports in batches of at most
+    _BATCH_WORDS words; a batch sets only how many supports one weighing
+    takes, as supports are charged and offered in combinations order.
+    Just before the first pass that enumerates more than _BATCH_WORDS
+    messages, and only when two forms' pivot sets are cyclic rotations
+    of each other, one test checks that a one-column cyclic shift maps
+    the code (and the subcode) onto itself.  If it does, a pass on one
+    form counts for every form in its rotation class, passes already run
+    included: a word with at most r nonzeros on a rotated pivot set is
+    the rotation of a word with at most r nonzeros on the enumerated
+    one, of the same weight and inside the subcode exactly when that
+    word is.
     """
     k, n = G.shape
     if k < 1:
@@ -784,8 +801,7 @@ def information_set_bounds(
                 break
             w = form.r + 1
             if unproved and _pass_size(q, k, w) > _BATCH_WORDS:
-                # a loop whose passes each fit in one batch would spend more on
-                # the test than the credit saves it
+                # a loop whose passes each fit in one batch skips the test
                 unproved = False
                 cyclic = _shift_invariant(field, forms[0].G, forms[0].pivots) and (
                     state.sub is None or _shift_invariant(field, *state.sub))

@@ -475,6 +475,8 @@ def load_data_text(name: str, data_dir=None) -> str:
         sums = (root / "CHECKSUMS.sha256").read_text()
     except (FileNotFoundError, OSError):
         raise DataIntegrityError("checksum manifest CHECKSUMS.sha256 is missing") from None
+    except UnicodeDecodeError:
+        raise DataIntegrityError("checksum manifest CHECKSUMS.sha256 is not text") from None
     want = None
     for line in sums.splitlines():
         parts = line.split()
@@ -485,7 +487,10 @@ def load_data_text(name: str, data_dir=None) -> str:
     got = hashlib.sha256(raw).hexdigest()
     if got != want:
         raise DataIntegrityError(f"checksum mismatch for {name!r}")
-    return raw.decode()
+    try:
+        return raw.decode()
+    except UnicodeDecodeError:
+        raise DataIntegrityError(f"bundled data file {name!r} is not text") from None
 
 
 def load_bundled(which: str, data_dir=None) -> TableStore:

@@ -379,6 +379,31 @@ def test_cli_error_paths(tmp_path):
             prop.step_from_text(text)
 
 
+_CODE_COMMANDS = [["distance"], ["hull"], ["dual"], ["construct"], ["propagate", "--rule", "less-ent"],
+                  ["min-ent"], ["puncture-space"]]
+_FILE_COMMANDS = [["table", "compress", "--file"], ["table", "check", "--file"], ["bounds", "--file"]]
+
+
+@pytest.mark.parametrize("argv", [
+    *[[*cmd, "{binary}"] for cmd in _CODE_COMMANDS + _FILE_COMMANDS],
+    *[[*cmd, "{dir}"] for cmd in _CODE_COMMANDS + _FILE_COMMANDS],
+    ["distance", "{g16}", "--outside", "{binary}"],
+    ["propagate", "--rule", "extend-column", "--column-file", "{dir}", "{g16}"],
+    ["dual", "{g16}", "--out", "{dir}"],
+    ["table", "expand", "--bundled", "qubit", "--n-max", "4", "--out", "{dir}"],
+], ids=" ".join)
+def test_unreadable_and_unwritable_files_exit_2(tmp_path, capsys, argv):
+    # a binary file, a directory where a file should be: a message naming
+    # the path, never a traceback
+    binary, folder = tmp_path / "binary.txt", tmp_path / "folder"
+    binary.write_bytes(b"\xff\xfe\x00q=9")
+    folder.mkdir()
+    argv = [a.format(binary=binary, dir=folder, g16=DATA / "g16_5_9.txt") for a in argv]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and str(binary if str(binary) in argv else folder) in err
+
+
 def test_propagate_rule_choices_are_the_rule_table():
     sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
     rule = next(a for a in sub.choices["propagate"]._actions if a.dest == "rule")

@@ -256,6 +256,24 @@ def test_hull_code_is_built_once():
     assert 0 in dims and 2 in dims
 
 
+@pytest.mark.parametrize("order", ["hull, dual", "dual, hull", "dual, dual's hull"])
+def test_code_and_hermitian_dual_share_one_hull_code(order):
+    # whichever code builds the hull code, and before or after the dual
+    # is built, the two codes hold one hull code
+    rng = np.random.default_rng(44)
+    for field in (F4, F9):
+        C = random_code(field, 6, 2, rng)
+        if order == "hull, dual":
+            hull = C.hull_code()
+            D = C.hermitian_dual()
+        else:
+            D = C.hermitian_dual()
+            hull = (D if order == "dual, dual's hull" else C).hull_code()
+        assert C.hull_code() is hull and D.hull_code() is hull
+        assert C.hull_code() is C.hermitian_dual().hull_code()
+        assert D.hermitian_hull() is C.hermitian_hull()
+
+
 def test_scale_columns_identity_and_errors():
     rng = np.random.default_rng(27)
     C = random_code(F9, 6, 3, rng)

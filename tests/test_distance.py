@@ -319,6 +319,33 @@ def test_information_sets_paper_pair():
     assert (res.work, res.rounds) == (13059118, (5, 5))
 
 
+def paper_pair_runs():
+    """Information-set runs on the paper's [29,14]_9 code and, outside its
+    hull, on its Hermitian dual."""
+    C = LinearCode(F9, MatrixFq.from_text(tables.load_data_text("g29_14_9.txt"))[0])
+    return (information_set_bounds(F9, C.G.array),
+            information_set_bounds(F9, C.hermitian_dual().G.array, subcode=C.hull_code().G.array))
+
+
+def test_paper_pair_batch_size_changes_speed_not_results(monkeypatch):
+    # a batch sets how many supports one weighing takes, not the order in
+    # which they are weighed, charged and offered: facts, witnesses, work
+    # and rounds at the default batch equal those of 2^15-word batches.
+    # The pair's traced peak at the default was 0.89 MiB
+    tracemalloc.start()
+    try:
+        runs = paper_pair_runs()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    whole, dual = runs
+    assert (str(whole.fact), whole.work, whole.rounds) == ("12", 8760780, (5, 5, 5))
+    assert (str(dual.outside_fact), dual.work, dual.rounds) == ("11", 13059118, (5, 5))
+    assert peak <= 2 << 20
+    monkeypatch.setattr(distance, "_BATCH_WORDS", 1 << 15)
+    assert paper_pair_runs() == runs
+
+
 def test_pass_order_matches_the_recosting_oracle(monkeypatch):
     # step costs are cached and each form is keyed once a pass; the pass
     # order, the cost estimates and whole runs stay as they were when

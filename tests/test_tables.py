@@ -394,6 +394,20 @@ def test_checksum_gate(tmp_path):
         load_data_text("table_qubit.txt", data_dir=work)
 
 
+def test_binary_data_files_are_integrity_errors(tmp_path):
+    # bytes that are not text, in a data file whose checksum matches or
+    # in the checksum manifest, are refused with a message
+    raw = b"\xff\xfe q=9"
+    (tmp_path / "g29_14_9.txt").write_bytes(raw)
+    sums = tmp_path / "CHECKSUMS.sha256"
+    sums.write_text(f"{hashlib.sha256(raw).hexdigest()}  g29_14_9.txt\n")
+    with pytest.raises(DataIntegrityError, match="'g29_14_9.txt' is not text"):
+        load_data_text("g29_14_9.txt", data_dir=tmp_path)
+    sums.write_bytes(raw)
+    with pytest.raises(DataIntegrityError, match="CHECKSUMS.sha256 is not text"):
+        load_data_text("g29_14_9.txt", data_dir=tmp_path)
+
+
 def test_corrupted_entry_with_fixed_checksum_fails_bounds(tmp_path):
     import eaqecc
 

@@ -420,7 +420,7 @@ def spy_offers(monkeypatch):
     return offers
 
 
-@pytest.mark.parametrize("batch_words", [0, 64, distance._BATCH_WORDS])
+@pytest.mark.parametrize("batch_words", [0, 64, 1 << 15, distance._BATCH_WORDS])
 def test_weight_pass_order_and_charging(monkeypatch, batch_words):
     # each pass hands offer_leaves every support in combinations order,
     # in batches of at most _BATCH_WORDS words or one leaf, each leaf

@@ -20,6 +20,7 @@ from . import bounds as bounds_mod
 from . import propagate, tables, verify
 from .codes import LinearCode, min_weight_outside
 from .construct import css_construct, hermitian_construct
+from .distance import DEFAULT_WORK_BUDGET
 from .errors import EaqeccError, PreconditionError
 from .matrix import MatrixFq
 
@@ -118,16 +119,11 @@ def _emit_fact(w, fact, label="distance"):
 def cmd_construct(args, w):
     C1 = _load_code(args.code)
     if args.route == "hermitian":
-        params = hermitian_construct(
-            C1,
-            known_distance=args.known_distance,
-            known_pure=args.known_pure,
-            enum_cap=args.enum_cap,
-        )
+        params = hermitian_construct(C1)
     else:
         if not args.code2:
             raise EaqeccError("css route needs a second code file")
-        params = css_construct(C1, _load_code(args.code2), enum_cap=args.enum_cap)
+        params = css_construct(C1, _load_code(args.code2))
     _emit_params(w, params)
     report = bounds_mod.check_all(params)
     _emit_report(w, report)
@@ -158,9 +154,9 @@ def cmd_distance(args, w):
     C = _load_code(args.code)
     if args.outside:
         sub = _load_code(args.outside)
-        fact = min_weight_outside(C, sub, enum_cap=args.enum_cap, work_budget=args.budget)
+        fact = min_weight_outside(C, sub, work_budget=args.budget)
     else:
-        fact = C.min_distance(enum_cap=args.enum_cap, work_budget=args.budget, target=args.target)
+        fact = C.min_distance(work_budget=args.budget, target=args.target)
     _emit_fact(w, fact)
     return 0
 
@@ -174,7 +170,7 @@ def cmd_propagate(args, w):
     args.word = _load_vector(args.word_file) if args.word_file else None
     C = _load_code(args.code)
     if rule.lifted:
-        Q = hermitian_construct(C, enum_cap=args.enum_cap)
+        Q = hermitian_construct(C)
         _emit_params(w, Q, label="input")
         step = rule.make(Q, args)
         _emit_params(w, step.output_params, label="output")
@@ -351,21 +347,15 @@ def build_parser() -> argparse.ArgumentParser:
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
     budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument("--budget", type=non_negative_int, default=10**4, help="trial/work budget")
-    enum_cap = argparse.ArgumentParser(add_help=False)
-    enum_cap.add_argument(
-        "--enum-cap", type=non_negative_int, default=10**8, help="max q^k for full enumeration"
-    )
+    budget.add_argument("--budget", type=non_negative_int, default=10**4, help="trial budget")
 
     p = argparse.ArgumentParser(prog="eaqecc", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("construct", parents=[common, enum_cap], help="derive quantum parameters")
+    sp = sub.add_parser("construct", parents=[common], help="derive quantum parameters")
     sp.add_argument("--route", choices=("hermitian", "css"), default="hermitian")
     sp.add_argument("code")
     sp.add_argument("code2", nargs="?")
-    sp.add_argument("--known-distance", type=positive_int)
-    sp.add_argument("--known-pure", action="store_true")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_construct)
 
@@ -380,14 +370,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_hull)
 
-    sp = sub.add_parser("distance", parents=[common, budget, enum_cap],
-                        help="minimum distance facts")
+    sp = sub.add_parser("distance", parents=[common], help="minimum distance facts")
+    sp.add_argument("--budget", type=non_negative_int, default=DEFAULT_WORK_BUDGET,
+                    help="information-set work budget, in messages")
     sp.add_argument("code")
-    sp.add_argument("--outside", help="subcode file: weight outside this subcode")
-    sp.add_argument("--target", type=positive_int, help="stop once this lower bound is certified")
+    # a fact outside a subcode takes no target
+    only = sp.add_mutually_exclusive_group()
+    only.add_argument("--outside", help="subcode file: weight outside this subcode")
+    only.add_argument("--target", type=positive_int, help="stop once this lower bound is certified")
     sp.set_defaults(func=cmd_distance)
 
-    sp = sub.add_parser("propagate", parents=[common, seed, budget, enum_cap],
+    sp = sub.add_parser("propagate", parents=[common, seed, budget],
                         help="apply a propagation rule")
     sp.add_argument("--rule", required=True, choices=PROPAGATE_RULES)
     sp.add_argument("code")

@@ -18,10 +18,6 @@ from .distance import DistanceFact
 from .errors import EaqeccError, InvalidFieldError, PreconditionError
 from .matrix import MatrixFq, gf_matmul
 
-# Constructor-level default for information-set work; certification runs
-# pass a larger budget explicitly.
-CONSTRUCT_WORK_BUDGET = 10**6
-
 
 def is_pure_at(purity: str, delta: int) -> bool:
     """Whether a purity tag ('pure', 'pure_to:<w>' or 'unknown') covers distance delta."""
@@ -96,16 +92,17 @@ def hermitian_construct(
     C: LinearCode,
     known_distance: int | None = None,
     known_pure: bool | None = None,
-    enum_cap: int = dist.DEFAULT_ENUM_CAP,
-    work_budget: int = CONSTRUCT_WORK_BUDGET,
+    work_budget: int = dist.DEFAULT_WORK_BUDGET,
 ) -> EaqeccParams:
     """[[n, n-2k+c, delta; c]]_q from an [n, k] code over GF(q^2).
 
     c = k - dim(hull); delta is the minimum weight of the Hermitian dual
-    when it sits inside C, and of the dual minus the hull otherwise.
-    `known_distance` injects an externally certified delta (recorded as
-    a citation fact) when the dual is out of enumeration reach;
-    `known_pure` then settles purity.
+    when it sits inside C, and of the dual minus the hull otherwise,
+    computed within `work_budget` information-set messages (the
+    library-wide default of `distance`; the paper's [29,14]_9 code
+    settles delta = 11 within it).  `known_distance` injects an
+    externally certified delta instead (recorded as a citation fact) and
+    `known_pure` then settles purity; nothing checks a cited delta.
     """
     _require_square(C)
     n, k = C.n, C.k
@@ -118,12 +115,10 @@ def hermitian_construct(
         delta = DistanceFact(known_distance, "exact", "citation")
         purity = "pure" if known_pure else "unknown"
     elif ell == n - k:  # the hull is all of the dual
-        delta = dual.min_distance(enum_cap=enum_cap, work_budget=work_budget)
+        delta = dual.min_distance(work_budget=work_budget)
         purity = "pure" if delta.exact else "unknown"
     else:
-        out_fact, all_fact = relative_distance(
-            dual, C.hull_code(), enum_cap=enum_cap, work_budget=work_budget
-        )
+        out_fact, all_fact = relative_distance(dual, C.hull_code(), work_budget=work_budget)
         delta = out_fact
         purity = _purity(out_fact, all_fact)
     params = EaqeccParams(
@@ -173,8 +168,7 @@ def _fact_min(f1: DistanceFact, f2: DistanceFact) -> DistanceFact:
 def css_construct(
     C1: LinearCode,
     C2: LinearCode,
-    enum_cap: int = dist.DEFAULT_ENUM_CAP,
-    work_budget: int = CONSTRUCT_WORK_BUDGET,
+    work_budget: int = dist.DEFAULT_WORK_BUDGET,
 ) -> EaqeccParams:
     """[[n, n-(k1+k2)+c, delta; c]]_q from two codes over GF(q).
 
@@ -198,17 +192,13 @@ def css_construct(
     kappa = n - (k1 + k2) + c
 
     if C2.contains_code(dual1):
-        d1 = dual1.min_distance(enum_cap=enum_cap, work_budget=work_budget)
-        d2 = dual2.min_distance(enum_cap=enum_cap, work_budget=work_budget)
+        d1 = dual1.min_distance(work_budget=work_budget)
+        d2 = dual2.min_distance(work_budget=work_budget)
         delta = _fact_min(d1, d2)
         purity = "pure" if delta.exact else "unknown"
     else:
-        out1, all1 = relative_distance(
-            dual1, intersection(C2, dual1), enum_cap=enum_cap, work_budget=work_budget
-        )
-        out2, all2 = relative_distance(
-            dual2, intersection(C1, dual2), enum_cap=enum_cap, work_budget=work_budget
-        )
+        out1, all1 = relative_distance(dual1, intersection(C2, dual1), work_budget=work_budget)
+        out2, all2 = relative_distance(dual2, intersection(C1, dual2), work_budget=work_budget)
         delta = _fact_min(out1, out2)
         purity = _purity(delta, _fact_min(all1, all2))
     params = EaqeccParams(

@@ -63,15 +63,18 @@ DEFAULT_ENUM_CAP = 10**8
 DEFAULT_WORK_BUDGET = 10**8
 _BLOCK_TARGET = 1 << 16
 # Words per batch of information-set supports, and the cap on a pass's
-# tail table, head chunk and span; `information_set_bounds` runs its
-# cyclic-shift test only before a pass of more messages than this.  Each
-# batch is one weighing call, so small batches pay numpy's per-call
-# costs more often and large ones leave the cache.  The paper pair (the
-# [29,14]_9 code's distance and its dual's outside the hull) took a
-# median 85 / 73 / 68 / 95 ms at 2^15 / 2^16 / 2^17 / 2^18 words, at a
-# traced peak of 0.40 / 0.56 / 0.89 / 1.63 MiB (2 vCPUs, CPython 3.11,
-# numpy 2.4).
+# tail table, head chunk and span.  Each batch is one weighing call, so
+# small batches pay numpy's per-call costs more often and large ones
+# leave the cache.  The paper pair (the [29,14]_9 code's distance and
+# its dual's outside the hull) took a median 85 / 73 / 68 / 95 ms at
+# 2^15 / 2^16 / 2^17 / 2^18 words, at a traced peak of 0.40 / 0.56 /
+# 0.89 / 1.63 MiB (2 vCPUs, CPython 3.11, numpy 2.4).
 _BATCH_WORDS = 1 << 17
+# `information_set_bounds` runs its cyclic-shift test only before a pass
+# of more messages than this: the unpermuted binary [47,24] QR code,
+# whose weight-5 pass has 42,504 messages, charges 68,404 messages with
+# the credit and 110,908 without it.
+_SHIFT_TEST_WORDS = 1 << 15
 _TENSOR_ELEM_CAP = 1 << 28
 # The cost model of `information_sets_if_cheaper`, in microseconds, on 2
 # vCPUs (CPython 3.11, numpy 2.4).  The per-class and per-message costs
@@ -762,7 +765,7 @@ def information_set_bounds(
     was credited with.  Passes weigh supports in batches of at most
     _BATCH_WORDS words; a batch sets only how many supports one weighing
     takes, as supports are charged and offered in combinations order.
-    Just before the first pass that enumerates more than _BATCH_WORDS
+    Just before the first pass that enumerates more than _SHIFT_TEST_WORDS
     messages, and only when two forms' pivot sets are cyclic rotations
     of each other, one test checks that a one-column cyclic shift maps
     the code (and the subcode) onto itself.  If it does, a pass on one
@@ -800,8 +803,8 @@ def information_set_bounds(
             if form is None:
                 break
             w = form.r + 1
-            if unproved and _pass_size(q, k, w) > _BATCH_WORDS:
-                # a loop whose passes each fit in one batch skips the test
+            if unproved and _pass_size(q, k, w) > _SHIFT_TEST_WORDS:
+                # a loop of small passes skips the test
                 unproved = False
                 cyclic = _shift_invariant(field, forms[0].G, forms[0].pivots) and (
                     state.sub is None or _shift_invariant(field, *state.sub))

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import distance as dist
 from .codes import LinearCode
-from .construct import CONSTRUCT_WORK_BUDGET, EaqeccParams, bound_gate, hermitian_construct
+from .construct import EaqeccParams, bound_gate, hermitian_construct
 from .distance import DistanceFact
 from .errors import (
     BudgetError,
@@ -45,9 +45,6 @@ from .matrix import (
 
 DEFAULT_SEARCH_BUDGET = 10**4
 DEFAULT_SPACE_CAP = 2**20
-# more_ent steps and replay enumerate the ingredient's dual while q^(n-k) stays below
-# this, and the column search the extensions it builds while q^k does
-MORE_ENT_VERIFY_CAP = 10**6
 # the column search tries every column while it has at most this many classes,
 # and otherwise this many congruence transforms (the first one unsampled)
 COLUMN_CLASS_CAP = 10**5
@@ -198,8 +195,9 @@ def _best_column(C: LinearCode, seed: int):
     exactly when m . x != 0 for every message m of a minimum-weight word
     of C, and d(C) otherwise.  One walk of C lists those messages, one
     product scores each block of columns, and only the chosen column's
-    extension is built, its distance checked against the score.  Beyond
-    the cap the sampled columns are tried (`_best_sampled_column`).
+    extension is built, its distance (at `min_distance`'s defaults)
+    checked against the score.  Beyond the cap the sampled columns are
+    tried (`_best_sampled_column`).
     """
     field = C.field
     # scaling the new column by lambda multiplies its Gram contribution by
@@ -223,7 +221,7 @@ def _best_column(C: LinearCode, seed: int):
     if best is None:
         raise RuleNotApplicableError("no hull-raising column exists")
     out = extend_with_column(C, best[1])
-    d = out.min_distance(enum_cap=MORE_ENT_VERIFY_CAP, work_budget=CONSTRUCT_WORK_BUDGET).value
+    d = out.min_distance().value
     if d != best[0]:
         raise EaqeccError(f"column extension has distance {d}, scored {best[0]}")
     return best[1], out
@@ -237,14 +235,11 @@ def _best_sampled_column(C: LinearCode, seed: int):
     need only show whether it beats the best so far (`min_distance`'s
     target).
     """
-    d0 = C.min_distance(enum_cap=MORE_ENT_VERIFY_CAP, work_budget=CONSTRUCT_WORK_BUDGET)
+    d0 = C.min_distance()
     best = None
     for col in _sampled_columns(C, seed):
         out = extend_with_column(C, col)
-        fact = out.min_distance(
-            enum_cap=MORE_ENT_VERIFY_CAP, work_budget=CONSTRUCT_WORK_BUDGET,
-            target=(d0.value if best is None else best[0]) + 1,
-        )
+        fact = out.min_distance(target=(d0.value if best is None else best[0]) + 1)
         d2 = fact.value
         if d0.exact and fact.exact and not d0.value <= d2 <= d0.value + 1:
             raise EaqeccError(f"column extension changed distance {d0.value} to {d2}")
@@ -541,7 +536,7 @@ def more_entanglement_step(Q: EaqeccParams, i: int) -> PropagationStep:
     scalars, C2 = hull_reduce_scalars(C, ell - i)
     cert = {"input": C, "i": i, "scalars": scalars, "code": C2}
     out = _lift("more_ent", Q, C2, f"more_ent(i={i})")
-    small = C.field.order ** C2.hermitian_dual().k <= MORE_ENT_VERIFY_CAP
+    small = C.field.order ** C2.hermitian_dual().k <= dist.DEFAULT_ENUM_CAP
     if small and hermitian_construct(C2).delta.value < Q.delta.value:
         raise EaqeccError("more-entanglement output lost distance")
     return PropagationStep("more_ent", Q, out, cert)
@@ -628,8 +623,8 @@ def _pick_extension_word(C, E, strategy, seed, budget):
     return best[1]
 
 
-def more_entanglement(Q: EaqeccParams, i: int, **kw) -> EaqeccParams:
-    return more_entanglement_step(Q, i, **kw).output_params
+def more_entanglement(Q: EaqeccParams, i: int) -> EaqeccParams:
+    return more_entanglement_step(Q, i).output_params
 
 
 def same_entanglement(Q: EaqeccParams, **kw) -> EaqeccParams:
@@ -839,15 +834,15 @@ def replay_step(step: PropagationStep):
 def _check_input_delta(rid: str, C: LinearCode, Q: EaqeccParams):
     """Compute the delta of the ingredient C and hold the recorded input to it.
 
-    Enumeration settles delta while q^(n-k) stays within
-    MORE_ENT_VERIFY_CAP, information sets within the construction's
-    work budget beyond it; a delta they leave open is not compared.  A
-    recorded lower bound must not exceed the true delta.  In-process, C
-    is the certificate's code and an exact delta it already measured is
-    read from its cache; a step read back with `step_from_text` has
-    fresh codes, so every fact is recomputed.
+    The Hermitian construction computes delta at the library defaults
+    (`distance.DEFAULT_ENUM_CAP` and `DEFAULT_WORK_BUDGET`); a delta
+    their budget leaves open is not compared.  A recorded lower bound
+    must not exceed the true delta.  In-process, C is the certificate's
+    code and an exact delta it already measured is read from its cache;
+    a step read back with `step_from_text` has fresh codes, so every
+    fact is recomputed.
     """
-    delta = hermitian_construct(C, enum_cap=MORE_ENT_VERIFY_CAP).delta
+    delta = hermitian_construct(C).delta
     if not delta.exact:
         return
     if Q.delta.value != delta.value if Q.delta.exact else Q.delta.value > delta.value:

@@ -101,7 +101,7 @@ def run_verification(emit, data_dir=None) -> int:
     hull2 = E2.hull_code()
     v.check("hull16.w15.extended_hull", (hull2.n, hull2.k, hull2.min_distance().value), (17, 4, 10))
     dual2 = E2.hermitian_dual()
-    dual2_fact = dual2.min_distance(work_budget=10**8)
+    dual2_fact = dual2.min_distance()
     v.check("hull16.w15.extended_dual", (dual2.k, dual2_fact.value, dual2_fact.exact), (11, 5, True))
     v.check("hull16.w15.construct", _params_tuple(step.output_params), (17, 2, 8, 7))
     v.check("hull16.w15.pure", step.output_params.purity, "pure")

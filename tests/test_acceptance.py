@@ -302,7 +302,7 @@ def test_criterion_5g_css_c_formulas_agree():
         n = int(rng.integers(3, 9))
         C1 = random_code(field, n, int(rng.integers(1, n)), rng)
         C2 = random_code(field, n, int(rng.integers(1, n)), rng)
-        Q = css_construct(C1, C2, enum_cap=10**6)
+        Q = css_construct(C1, C2)
         by_rank = MatrixFq(field, gf_matmul(C1.G.array, C2.G.array.T, field)).rank()
         by_int = C1.k - intersection(C1, C2.euclidean_dual()).k
         assert Q.c == by_rank == by_int
@@ -358,13 +358,15 @@ def _run_battery(tmp_path):
     wide.write_text(random_code(F9, 12, 7, np.random.default_rng(7)).to_text())
     small = tmp_path / "small.txt"  # [8,4]_9: both column searches score every class
     small.write_text(random_code(F9, 8, 4, np.random.default_rng(4)).to_text())
-    g16 = str(data / "g16_5_9.txt")
+    g16, g29 = str(data / "g16_5_9.txt"), str(data / "g29_14_9.txt")
     cmds = BATTERY + [
         ["min-ent", str(tetra), "--mode", "randomized", "--seed", "7", "--budget", "64",
          "--format", "machine"],
         ["min-ent", str(wide), "--format", "machine"],
         ["distance", g16, "--format", "machine"],
         ["construct", g16, "--format", "machine"],
+        ["distance", g29, "--format", "machine"],
+        ["construct", g29, "--format", "machine"],
         ["propagate", g16, "--rule", "less-ent", "--format", "machine"],
         ["propagate", g16, "--rule", "same-ent", "--search", "--format", "machine"],
         ["propagate", str(small), "--rule", "extend-column", "--search", "--format", "machine"],

@@ -94,12 +94,15 @@ def test_paper_code_bounds_at_fixed_budgets(capsys):
         assert cli.main([*args, g29, "--format", "machine"]) == 0
         return capsys.readouterr().out.splitlines()[1]
 
-    assert " delta=9 delta_certainty=lower_bound " in first_line("construct", "--route", "hermitian")
+    # at the default work budget both facts are exact: delta in 13,059,118
+    # messages, d in 8,760,780
+    assert first_line("construct", "--route", "hermitian").startswith(
+        "params q=3 n=29 kappa=1 delta=11 delta_certainty=exact delta_method=information_sets "
+        "c=0 purity=pure ")
     assert first_line("distance", "--budget", "1000000").startswith(
         "distance value=10 certainty=lower_bound method=information_sets upper=12 ")
-    # at the default budget no pass reaches a batch
     assert first_line("distance").startswith(
-        "distance value=6 certainty=lower_bound method=information_sets upper=12 ")
+        "distance value=12 certainty=exact method=information_sets witness=")
 
 
 def test_propagate_extend_column_writes_step(tmp_path):
@@ -324,6 +327,10 @@ def test_verify_paper_missing_asset(tmp_path):
 
 
 def test_cli_error_paths(tmp_path):
+    C16 = LinearCode.from_text((DATA / "g16_5_9.txt").read_text())
+    dual16, hull16 = tmp_path / "dual16.txt", tmp_path / "hull16.txt"
+    dual16.write_text(C16.hermitian_dual().to_text())
+    hull16.write_text(C16.hull_code().to_text())
     code, _, stderr = run_cli("construct", str(tmp_path / "nope.txt"))
     assert code == 2
     code, _, stderr = run_cli("construct", "--route", "css", str(DATA / "g16_5_9.txt"))
@@ -337,7 +344,6 @@ def test_cli_error_paths(tmp_path):
     g16 = str(DATA / "g16_5_9.txt")
     for argv in (
         ["distance", "--budget", "-1", g16],
-        ["distance", "--enum-cap", "-5", g16],
         ["min-ent", "--cap", "-1", g16],
         ["table", "query", "--bundled", "qubit", "--n", "-5"],
         ["table", "expand", "--bundled", "qubit", "--n-max", "-1"],
@@ -349,7 +355,6 @@ def test_cli_error_paths(tmp_path):
         ["table", "expand", "--bundled", "qubit", "--rules", "9"],
         ["table", "expand", "--bundled", "qubit", "--rules", "1,0"],
         ["table", "expand", "--bundled", "qubit", "--rules", ""],
-        ["construct", "--known-distance", "-1", g16],
         ["distance", "--target", "-1", g16],
         ["propagate", "--rule", "hull-reduce", "--ell", "-1", g16],
         ["propagate", "--rule", "more-ent", "--i", "0", g16],
@@ -357,6 +362,11 @@ def test_cli_error_paths(tmp_path):
         ["table", "query", "--bundled", "qubit", "--seed", "3"],
         ["construct", "--budget", "5", g16],
         ["verify-paper", "--enum-cap", "1"],
+        ["distance", "--enum-cap", "1", g16],
+        # no command takes a cited distance: the paper code's delta is 11
+        ["construct", "--known-distance", "15", str(DATA / "g29_14_9.txt")],
+        # a fact outside a subcode takes no target
+        ["distance", str(dual16), "--outside", str(hull16), "--target", "3"],
     ):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
@@ -443,6 +453,42 @@ def test_no_assert_statements_in_package():
         tree = ast.parse(path.read_text(), filename=str(path))
         found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not found, f"{path.name}: assert at lines {found}"
+
+
+# budgets that restate no default: a chosen information-set run gets its
+# estimated messages, and `distance` the user's --budget
+_OWN_BUDGETS = {("codes.py", "_distance_facts", "work_budget", "messages"),
+                ("cli.py", "cmd_distance", "work_budget", "args.budget")}
+
+
+def test_distance_effort_defaults_have_one_home():
+    # distance.DEFAULT_ENUM_CAP and DEFAULT_WORK_BUDGET are the only
+    # defaults: a call passes enum_cap= or work_budget= on from a
+    # parameter of the same name, or one of _OWN_BUDGETS
+    pkg = pathlib.Path(eaqecc.__file__).parent
+    found = []
+
+    def visit(node, path, func, params):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            func, params = node.name, {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs}
+        if isinstance(node, ast.Call):
+            for kw in node.keywords:
+                if kw.arg not in ("enum_cap", "work_budget"):
+                    continue
+                value = ast.unparse(kw.value)
+                if not (value == kw.arg in params
+                        or (path.name, func, kw.arg, value) in _OWN_BUDGETS):
+                    found.append(f"{path.name}:{node.lineno} {kw.arg}={value}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, func, params)
+
+    for path in sorted(pkg.glob("*.py")):
+        text = path.read_text()
+        visit(ast.parse(text, filename=str(path)), path, None, set())
+        found += [f"{path.name}: {name}" for name in ("CONSTRUCT_WORK_BUDGET", "MORE_ENT_VERIFY_CAP")
+                  if name in text]
+    assert not found
 
 
 _TOKENS = st.one_of(

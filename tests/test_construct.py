@@ -30,7 +30,7 @@ def test_hermitian_arithmetic_invariants():
             n = int(rng.integers(4, 9))
             k = int(rng.integers(1, n))
             C = random_code(field, n, k, rng)
-            Q = hermitian_construct(C, enum_cap=10**6)
+            Q = hermitian_construct(C)
             assert Q.kappa - Q.c == n - 2 * k
             assert Q.c == C.gram_hermitian().rank() == k - C.hull_dim
             assert Q.q == field.subfield_order

@@ -292,10 +292,10 @@ def test_information_sets_pinned_results(shape, options, fact, outside, work, ro
 
 def test_rotated_pivot_sets_of_random_codes_get_no_credit(monkeypatch):
     # the random codes' forms have pivot sets that are rotations of each
-    # other, but the codes are not cyclic: with small batches the shift
-    # test runs and fails, and every pin holds
+    # other, but the codes are not cyclic: with a small threshold the
+    # shift test runs and fails, and every pin holds
     proofs = spy_shift_tests(monkeypatch)
-    monkeypatch.setattr(distance, "_BATCH_WORDS", 64)
+    monkeypatch.setattr(distance, "_SHIFT_TEST_WORDS", 64)
     for shape, options, *want in IS_PINS:
         assert pinned_run(shape, options) == tuple(want), (shape, options)
     assert proofs and not any(proofs)
@@ -317,6 +317,18 @@ def test_information_sets_paper_pair():
     assert (str(res.fact), str(res.outside_fact)) == ("11", "11")
     assert "".join(map(str, res.outside_fact.witness)) == "10001000000000040150345700023"
     assert (res.work, res.rounds) == (13059118, (5, 5))
+
+
+def test_unpermuted_qr_code_keeps_its_cyclic_credit():
+    # the binary [47,24] quadratic-residue code is cyclic and its weight-5
+    # pass (42,504 messages) fits in one batch: the shift test still runs
+    # before it, and the second form is credited with the first's passes
+    residues = {i * i % 47 for i in range(1, 47)}
+    word = np.array([i in residues for i in range(47)], dtype=np.uint8)
+    R, rank, _ = MatrixFq(F2, np.array([np.roll(word, s) for s in range(47)])).rref()
+    res = information_set_bounds(F2, R.array[:rank])
+    assert rank == 24 and res.fact.exact and res.fact.value == 11
+    assert (res.work, res.rounds) == (68404, (5, 5))
 
 
 def paper_pair_runs():
@@ -641,11 +653,11 @@ def test_cyclic_factors():
 
 @pytest.mark.parametrize("field, n", CYCLIC, ids=lambda v: str(getattr(v, "order", v)))
 def test_cyclic_credit_matches_brute_force(monkeypatch, field, n):
-    # with no batch to save, the shift test runs before the first pass;
+    # with a zero threshold, the shift test runs before the first pass;
     # every form's pivot set is a rotation of the first, so all forms end
     # with the same r
     proofs = spy_shift_tests(monkeypatch)
-    monkeypatch.setattr(distance, "_BATCH_WORDS", 0)
+    monkeypatch.setattr(distance, "_SHIFT_TEST_WORDS", 0)
     codes = list(cyclic_codes(field, n, 3000))
     assert codes
     for C, _ in codes:
@@ -670,9 +682,9 @@ def test_cyclic_credit_relative_facts(monkeypatch, field, n):
         for sub, cyclic in subs:
             del proofs[:]
             plain = information_set_bounds(field, C.G.array, subcode=sub.G.array)
-            assert not proofs  # no pass of so small a loop fills a batch
+            assert not proofs  # no pass of so small a loop reaches the threshold
             with monkeypatch.context() as patch:
-                patch.setattr(distance, "_BATCH_WORDS", 0)
+                patch.setattr(distance, "_SHIFT_TEST_WORDS", 0)
                 res = information_set_bounds(field, C.G.array, subcode=sub.G.array)
             member = lambda w: sub.contains_vector(np.array(w, dtype=np.uint8))  # noqa: E731
             want = brute_min_outside(field, C.G.array, member)

@@ -20,9 +20,11 @@ Two walks cover every search, both built by one expansion step
   their passes once the code (and the subcode, for relative facts) is
   proved invariant under a cyclic shift; that proof runs once, before
   the first pass that enumerates more than one batch of messages.
-  Each pass splits a support into a head and a tail, builds the words
-  of the heads and of the tails as tables, a bounded chunk at a time,
-  and weighs each batch of supports from two gathers of those tables.
+  A pass of weight 1 reads the systematic form's own rows, weighing
+  each row as it stands.  A pass of weight >= 2 splits a support into a
+  head and a tail, builds the words of the heads and of the tails as
+  tables, a bounded chunk at a time, and weighs each batch of supports
+  from two gathers of those tables.
 
 Inside this module codewords are held as planes, batch axis last, and
 the layout depends on the characteristic p alone:
@@ -423,8 +425,8 @@ class _SystematicForm:
     @functools.cached_property
     def multiples(self):
         """(planes, mults): the plane layout of the non-pivot columns, and
-        every row multiple in it; built on the form's first pass, as many
-        forms never get one."""
+        every row multiple in it; built on the form's first pass of
+        weight >= 2, as many forms never get one."""
         n = self.G.shape[1]
         nonpiv = sorted(set(range(n)) - set(self.pivots))
         planes = _planes(self.field, len(nonpiv), n)
@@ -439,6 +441,8 @@ def _systematic_forms(field: FieldSpec, G: np.ndarray):
     while remaining:
         priority = sorted(remaining) + sorted(set(range(n)) - remaining)
         R, rank, pivots = M.rref(pivot_priority=priority)
+        if rank < k:
+            raise PreconditionError("information-set bounds need independent generator rows")
         fresh = [c for c in pivots if c in remaining]
         if not fresh:
             break
@@ -513,6 +517,25 @@ class _ISState:
                 self._offer_leaf(form, supports[j], wts[j])
         self.charge(len(wts) - charged, wts.shape[1])
 
+    def offer_rows(self, form):
+        """The weight-1 pass: message i, coefficient 1 on pivot i, is row i of the form.
+
+        Each row is a leaf of one message, charged in row order before
+        it is offered, and weighed from the row itself; one product tests
+        every light row for the subcode.
+        """
+        wts = np.count_nonzero(form.G, axis=1)
+        light = np.flatnonzero(wts < self.threshold).tolist()
+        inside = np.zeros(self.k, dtype=bool)
+        if self.sub is not None and light:
+            inside[light] = in_row_space(form.G[light], *self.sub, self.field)
+        charged = 0
+        for j in light:
+            self.charge(j + 1 - charged, 1)
+            charged = j + 1
+            self._offer(form.G[j : j + 1], wts[j : j + 1], inside[j : j + 1])
+        self.charge(self.k - charged, 1)
+
     def _offer_leaf(self, form, support, wts):
         """Offer every word below the threshold, lightest first.
 
@@ -531,9 +554,16 @@ class _ISState:
         wrong = np.flatnonzero((words != 0).sum(axis=1) != wts[idx])
         if len(wrong):
             raise EaqeccError(f"information-set word does not have weight {wts[idx[wrong[0]]]}")
-        if self.sub is not None:
-            inside = in_row_space(words, *self.sub, self.field)
-        for t, weight in enumerate(wts[idx].tolist()):
+        inside = None if self.sub is None else in_row_space(words, *self.sub, self.field)
+        self._offer(words, wts[idx], inside)
+
+    def _offer(self, words, wts, inside):
+        """Offer words in order until one reaches the threshold.
+
+        A word lighter than ub becomes the witness; with a subcode, one
+        lighter than ub_out and not `inside` it becomes the outside witness.
+        """
+        for t, weight in enumerate(wts.tolist()):
             if weight >= self.threshold:
                 return
             if weight < self.ub:
@@ -563,10 +593,12 @@ class _Supports:
 def _bz_weight_pass(state: _ISState, form: _SystematicForm, w: int):
     """Enumerate all messages of weight w for one systematic form.
 
-    Supports come in combinations order, in batches of at most
-    _BATCH_WORDS words (one support when its leaf alone is larger);
-    each support's leaf holds its (q-1)^(w-1) messages, first
-    coefficient 1 and later levels varying fastest.
+    The k messages of weight 1 are the form's rows, offered as they
+    stand (`_ISState.offer_rows`); the tables and the kernel below serve
+    the passes of weight >= 2.  Supports come in combinations order, in
+    batches of at most _BATCH_WORDS words (one support when its leaf
+    alone is larger); each support's leaf holds its (q-1)^(w-1)
+    messages, first coefficient 1 and later levels varying fastest.
 
     A support splits into a head, its first w - t columns, and a tail,
     its last t.  The negated words of every tail, and the words of the
@@ -596,6 +628,9 @@ def _bz_weight_pass(state: _ISState, form: _SystematicForm, w: int):
         # (its weight is at least the message weight); the pass still
         # counts as completed for the lower-bound bookkeeping
         state.charge(1, _pass_size(q, k, w))
+        return
+    if w == 1:
+        state.offer_rows(form)
         return
     planes, mults = form.multiples
     if leaf * planes.m * field.s > _TENSOR_ELEM_CAP:

@@ -15,7 +15,7 @@ from eaqecc.distance import (
     span_values,
     span_weight_scan,
 )
-from eaqecc.errors import BudgetError, EaqeccError
+from eaqecc.errors import BudgetError, EaqeccError, PreconditionError
 from eaqecc.fields import GF
 from eaqecc.matrix import MatrixFq, gf_matmul
 from oracles import (
@@ -153,14 +153,24 @@ def test_bit_plane_distance_counts_differing_symbols(field):
 
 def test_under_reporting_kernel_raises(monkeypatch):
     # each witness is weighed again, so a kernel that reports one less
-    # than the true distance can never produce a false exact fact
+    # than the true distance can never produce a false exact fact.  The
+    # weight-1 passes weigh rows without the kernel; the [12,6]_4 code's
+    # weight-2 passes are kernel-weighed and offer a light word
     C = random_code(F4, 12, 4, np.random.default_rng(53))
+    D = random_code(F4, 12, 6, np.random.default_rng(53))
     distance = _BitPlanes.distance
     monkeypatch.setattr(_BitPlanes, "distance", lambda self, A, B: distance(self, A, B) - 1)
     with pytest.raises(EaqeccError, match="does not have weight"):
         span_weight_scan(F4, C.G.array)
-    with pytest.raises(EaqeccError, match="does not have weight"):
-        information_set_bounds(F4, C.G.array)
+    with pytest.raises(EaqeccError, match="does not have weight 3"):
+        information_set_bounds(F4, D.G.array)
+
+
+def test_dependent_generator_rows_are_refused():
+    # a zero row of the RREF would read as a weight-0 word of the pass of weight 1
+    rows = np.array([[1, 1, 0, 1], [1, 1, 0, 1]], dtype=np.uint8)
+    with pytest.raises(PreconditionError, match="independent"):
+        information_set_bounds(F2, rows)
 
 
 def test_span_scan_cap():
@@ -226,7 +236,9 @@ def test_information_sets_relative_tracking():
 # the work and the rounds.  The witnesses pin the walk order (supports in
 # combinations order, first coefficient 1, later levels fastest) and the
 # work pins the budget's leaf-by-leaf charging; "sub" names the subcode:
-# the first rows, or the span of the whole code's lightest word.
+# the first rows, or the span of the whole code's lightest word, and
+# "hull" runs the code's Hermitian dual with the hull as the subcode.
+# The last three rows are settled by passes of weight 1 alone.
 IS_PINS = [
     ((2, 40, 20, 1), {},
      ("5", "0001000000100000000100000000000000101000"), None, 1560, (3, 2, 0)),
@@ -261,6 +273,12 @@ IS_PINS = [
     ((3, 30, 15, 3), {"sub": "lightest"},
      ("6", "001000020000000210020000000002"), ("6", "000021001020000000000000010100"), 2270,
      (3, 2, 0)),
+    ((9, 15, 13, 17), {"hull": True},  # a [15,2]_9 dual whose lightest word lies in the hull
+     ("11", "121060457181007"), ("12", "000176838484627"), 10, (1, 1, 1, 1, 1, 0, 0, 0)),
+    ((9, 18, 9, 6), {"work_budget": 5},  # stops at row 6 of the first form
+     (">= 1, <= 7", "000010000600444120"), None, 6, (0, 0, 0)),
+    ((4, 12, 3, 1), {},  # the lightest word is a row of the third form
+     ("7", "001011310302"), None, 9, (1, 1, 1, 0)),
 ]
 
 
@@ -270,6 +288,8 @@ def pinned_run(shape, options):
     field = GF(q)
     C = random_code(field, n, k, np.random.default_rng(seed))
     options = dict(options)
+    if options.pop("hull", False):
+        C, options["subcode"] = C.hermitian_dual(), C.hull_code().G.array
     if "sub" in options:
         t = options.pop("sub")
         rows = ([information_set_bounds(field, C.G.array).fact.witness] if t == "lightest"
@@ -432,34 +452,53 @@ def spy_offers(monkeypatch):
     return offers
 
 
+def spy_words(monkeypatch):
+    """A list that collects (words, weights) of every word offer, rows included."""
+    offered, offer = [], distance._ISState._offer
+
+    def spy(self, words, wts, inside):
+        offered.append((words.tolist(), wts.tolist()))
+        return offer(self, words, wts, inside)
+
+    monkeypatch.setattr(distance._ISState, "_offer", spy)
+    return offered
+
+
 @pytest.mark.parametrize("batch_words", [0, 64, 1 << 15, distance._BATCH_WORDS])
 def test_weight_pass_order_and_charging(monkeypatch, batch_words):
-    # each pass hands offer_leaves every support in combinations order,
+    # the pass of weight 1 offers the form's rows in order, one message
+    # each, weighed as they stand, and never calls offer_leaves.  Every
+    # other pass hands offer_leaves every support in combinations order,
     # in batches of at most _BATCH_WORDS words or one leaf, each leaf
     # weighed in walk order, and charges them all.  With 64-word batches
     # the [20,12]_2 passes split their heads over several chunks and
     # spans; in every pass with a tail, the heads that end past column
     # k - 1 - t would have no tail and lead no support
     monkeypatch.setattr(distance, "_BATCH_WORDS", batch_words)
-    offers = spy_offers(monkeypatch)
+    offers, offered = spy_offers(monkeypatch), spy_words(monkeypatch)
     for field, n, k, seed in ((F2, 20, 12, 70), (F3, 10, 6, 71), (F9, 9, 5, 72)):
         q = field.order
         form = distance._systematic_forms(field, random_code(
             field, n, k, np.random.default_rng(seed)).G.array)[0]
+        rows = form.G.tolist()
         for w in range(1, k + 1):
-            del offers[:]
+            del offers[:], offered[:]
             state = distance._ISState(field, form.G, 10**12)
             distance._bz_weight_pass(state, form, w)
             leaf = (q - 1) ** (w - 1)
+            assert state.work == math.comb(k, w) * leaf
+            if w == 1:
+                assert not offers and offered == [([r], [weight(r)]) for r in rows], q
+                continue
             supports = [s for batch, _ in offers for s in batch]
             assert supports == list(itertools.combinations(range(k), w)), (q, w)
             assert all(len(batch) * leaf <= max(batch_words, leaf) for batch, _ in offers)
-            assert state.work == math.comb(k, w) * leaf
             for batch, wts in offers:
                 words = gf_matmul(leaf_messages(q, k, batch), form.G, field)
                 assert np.array_equal(wts.ravel(), (words != 0).sum(axis=1)), (q, w)
     # a budget that runs out stops at the leaf where it ran out, whatever
-    # the batch: 64 words a leaf over GF(9) (the last form above)
+    # the batch: 64 words a leaf over GF(9) (the last form above), and in
+    # the pass of weight 1, below k = 5 messages, at the row where it ran out
     del offers[:]
     state = distance._ISState(F9, form.G, 300)
     with pytest.raises(distance._BudgetExhausted):
@@ -467,6 +506,11 @@ def test_weight_pass_order_and_charging(monkeypatch, batch_words):
     supports = [s for batch, _ in offers for s in batch]
     assert supports == list(itertools.combinations(range(5), 3))[: len(supports)]
     assert len(supports) >= 5 and state.work == 5 * 64
+    del offered[:]
+    state = distance._ISState(F9, form.G, 3)
+    with pytest.raises(distance._BudgetExhausted):
+        distance._bz_weight_pass(state, form, 1)
+    assert [words for words, _ in offered] == [[r] for r in rows[:3]] and state.work == 4
 
 
 def test_weight_pass_memory_stays_within_a_few_batches(monkeypatch):

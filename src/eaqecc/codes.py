@@ -3,8 +3,9 @@
 A LinearCode is defined by a full-row-rank generator matrix, kept in
 reduced row echelon form so equality means equality of row spaces.
 Duals, Hermitian duals, hulls and the hull code are computed lazily and
-cached, a code and its Hermitian dual holding one hull and one hull code;
-codes themselves are immutable.  Exact distance facts are cached
+cached, a code and each dual knowing the other, and a code and its
+Hermitian dual holding one hull and one hull code; codes themselves
+are immutable.  Exact distance facts are cached
 too, so each costs one engine run per code object: d from `min_distance`
 or from the whole-code fact of `relative_distance`, and the
 (outside, whole) pair of `relative_distance` per subcode.  Facts a work
@@ -84,6 +85,7 @@ class LinearCode:
     def euclidean_dual(self) -> "LinearCode":
         if "dual" not in self._cache:
             self._cache["dual"] = LinearCode(self.field, self.G.kernel())
+            self._cache["dual"]._cache["dual"] = self
         return self._cache["dual"]
 
     def hermitian_dual(self) -> "LinearCode":
@@ -113,8 +115,12 @@ class LinearCode:
         """(basis matrix, dimension) of the intersection with the Hermitian dual.
 
         The dimension always equals k - rank(G G^dagger); the basis rows
-        are u G for u spanning the left kernel of G G^dagger.
+        are u G for u spanning the left kernel of G G^dagger.  The code and
+        its Hermitian dual have one hull, so when the dual is built and has
+        fewer rows, the hull comes from the dual's smaller Gram matrix.
         """
+        if "hull" not in self._cache and self._cache.get("hdual", self).k < self.k:
+            self._cache["hdual"].hermitian_hull()  # hands the hull to this code
         if "hull" not in self._cache:
             self.field._require_square()
             left = self.gram_hermitian().transpose().kernel()  # u with u (G G^dagger) = 0

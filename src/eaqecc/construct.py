@@ -106,10 +106,10 @@ def hermitian_construct(
     """
     _require_square(C)
     n, k = C.n, C.k
+    dual = C.hermitian_dual()  # first, so the hull can come from the smaller Gram matrix
     ell = C.hull_dim
     c = k - ell
     kappa = n - 2 * k + c
-    dual = C.hermitian_dual()
     provenance = (f"hermitian[{n},{k}]_{C.field.order}",)
     if known_distance is not None:
         delta = DistanceFact(known_distance, "exact", "citation")
@@ -183,7 +183,8 @@ def css_construct(
     n, k1, k2 = C1.n, C1.k, C2.k
     dual1 = C1.euclidean_dual()
     dual2 = C2.euclidean_dual()
-    c = k1 - intersection(C1, dual2).k
+    hull1 = intersection(C1, dual2)
+    c = k1 - hull1.k
     c_rank = int(MatrixFq(field, gf_matmul(C1.G.array, C2.G.array.T, field)).rank())
     if c != c_rank:
         raise EaqeccError(
@@ -198,7 +199,7 @@ def css_construct(
         purity = "pure" if delta.exact else "unknown"
     else:
         out1, all1 = relative_distance(dual1, intersection(C2, dual1), work_budget=work_budget)
-        out2, all2 = relative_distance(dual2, intersection(C1, dual2), work_budget=work_budget)
+        out2, all2 = relative_distance(dual2, hull1, work_budget=work_budget)
         delta = _fact_min(out1, out2)
         purity = _purity(delta, _fact_min(all1, all2))
     params = EaqeccParams(

@@ -419,8 +419,11 @@ class _SystematicForm:
     pivots: list           # pivot columns
     fresh: list            # pivots inside this form's fresh region
     deficit: int           # k - len(fresh)
-    orbit: int             # rotation class of the pivot set (_rotation_class)
     r: int = 0             # message weights enumerated or credited so far
+
+    @functools.cached_property
+    def orbit(self) -> int:  # the pivot set's rotation class: read only for the shift test
+        return _rotation_class(self.pivots, self.G.shape[1])
 
     @functools.cached_property
     def multiples(self):
@@ -434,12 +437,13 @@ class _SystematicForm:
 
 
 def _systematic_forms(field: FieldSpec, G: np.ndarray):
+    """Forms whose pivots favour the columns no earlier form took; the first is G's RREF."""
     M = MatrixFq(field, G)
     k, n = G.shape
     remaining = set(range(n))
     forms = []
     while remaining:
-        priority = sorted(remaining) + sorted(set(range(n)) - remaining)
+        priority = sorted(remaining) + sorted(set(range(n)) - remaining) if forms else None
         R, rank, pivots = M.rref(pivot_priority=priority)
         if rank < k:
             raise PreconditionError("information-set bounds need independent generator rows")
@@ -447,8 +451,7 @@ def _systematic_forms(field: FieldSpec, G: np.ndarray):
         if not fresh:
             break
         remaining -= set(fresh)
-        forms.append(_SystematicForm(
-            field, R.array, pivots, fresh, k - len(fresh), _rotation_class(pivots, n)))
+        forms.append(_SystematicForm(field, R.array, pivots, fresh, k - len(fresh)))
     return forms
 
 
@@ -825,8 +828,7 @@ def information_set_bounds(
             if f.orbit == form.orbit:
                 f.r = max(f.r, form.r)
 
-    unproved = len({f.orbit for f in forms}) < len(forms)
-    cyclic = False
+    unproved, cyclic = True, False
     try:
         while True:
             lb = lower_bound()
@@ -841,7 +843,8 @@ def information_set_bounds(
             if unproved and _pass_size(q, k, w) > _SHIFT_TEST_WORDS:
                 # a loop of small passes skips the test
                 unproved = False
-                cyclic = _shift_invariant(field, forms[0].G, forms[0].pivots) and (
+                cyclic = len({f.orbit for f in forms}) < len(forms) and _shift_invariant(
+                    field, forms[0].G, forms[0].pivots) and (
                     state.sub is None or _shift_invariant(field, *state.sub))
                 if cyclic:
                     for f in forms:

@@ -86,7 +86,7 @@ class FieldSpec:
         self._build_tables(poly)
         self.generator = self._find_generator()
         # Freeze numpy tables against accidental mutation.
-        for t in (self.ADD, self.MUL, self.NEG, self.INV, self.DIGITS):
+        for t in (self.ADD, self.MUL, self.NEG, self.INV, self.ELIM, self.DIGITS):
             t.setflags(write=False)
         if self.CONJ is not None:
             self.CONJ.setflags(write=False)
@@ -127,6 +127,10 @@ class FieldSpec:
         self.defining_poly = poly
         self.MUL = MUL
         self.INV = np.argmax(MUL == 1, axis=1).astype(np.uint8)
+        # -f*b, which MatrixFq.rref adds by XOR when p = 2; otherwise q*(-f*b),
+        # so that ADD.ravel()[ELIM[f, b] + a] = -f*b + a, in 8 bits while q <= 13
+        negmul = self.NEG[MUL]
+        self.ELIM = negmul if p == 2 else (negmul * np.uint16(q)).astype(np.min_scalar_type(q * q))
         if s % 2 == 0:
             q0 = p ** (s // 2)
             self.CONJ = np.array([self.pow_(a, q0) for a in range(q)], dtype=np.uint8)

@@ -9,8 +9,11 @@ products MUL[a_it, b_tj] of a block of rows, shape (rows, k, n), then
 sums over t: XOR for p = 2, integers mod p for prime fields, each base-p
 digit (DIGITS) mod p otherwise; blocks hold a fixed number of entries.
 `MatrixFq.rref` returns a matrix already in RREF as it is; otherwise a
-Python scan of each pivot column finds the pivot and one NEG/MUL/ADD
-lookup clears it from every other row.  `gf_ranks` ranks a stack of
+Python scan of each pivot column finds the pivot, and two gathers from
+the field's -f*b table (ELIM) plus one addition (XOR for p = 2, else a
+gather from ADD's flat table) clear it from every other row.  `rref` and
+`kernel` wrap what they compute unchecked (`MatrixFq._trusted`); outside
+data is range-checked and copied.  `gf_ranks` ranks a stack of
 matrices with one forward elimination over the whole stack.
 
 Text format (one matrix per file)::
@@ -109,6 +112,15 @@ class MatrixFq:
         arr.setflags(write=False)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "array", arr)
+
+    @classmethod
+    def _trusted(cls, field: FieldSpec, arr: np.ndarray) -> "MatrixFq":
+        """Wrap a fresh 2-D uint8 array of field entries computed here: no check, no copy."""
+        M = object.__new__(cls)
+        arr.setflags(write=False)
+        object.__setattr__(M, "field", field)
+        object.__setattr__(M, "array", arr)
+        return M
 
     def __setattr__(self, *_):
         raise AttributeError("MatrixFq is immutable")
@@ -211,7 +223,8 @@ class MatrixFq:
                 return self, len(reduced), reduced
         R = self.array.copy()
         m, n = R.shape
-        MUL, ADD, NEG, INV = self.field.MUL, self.field.ADD, self.field.NEG, self.field.INV
+        F = self.field
+        MUL, INV, ELIM, flat_add = F.MUL, F.INV, F.ELIM, F.ADD.ravel()
         order = list(pivot_priority) if pivot_priority is not None else list(range(n))
         if pivot_priority is not None:
             seen = set(order)
@@ -226,16 +239,17 @@ class MatrixFq:
             if hit < 0:
                 continue
             if hit != prow:
-                R[[prow, hit]] = R[[hit, prow]]
+                R[hit], R[prow] = R[prow], R[hit].copy()
                 column[prow], column[hit] = column[hit], column[prow]
             pv, column[prow] = column[prow], 0
             if pv != 1:
                 R[prow] = MUL[INV[pv]].take(R[prow])
             if any(column):  # clear the column from every other row at once
-                R = ADD[R, MUL.take(NEG.take(column), axis=0).take(R[prow], axis=1)]
+                X = ELIM.take(column, axis=0).take(R[prow], axis=1)
+                R = R ^ X if F.p == 2 else flat_add.take(X + R)
             pivots.append(col)
             prow += 1
-        return MatrixFq(self.field, R), prow, pivots
+        return MatrixFq._trusted(F, R), prow, pivots
 
     def _reduced_pivots(self):
         """Pivot columns if the matrix is in RREF already, else None."""
@@ -271,7 +285,7 @@ class MatrixFq:
         basis = np.zeros((len(free), n), dtype=np.uint8)
         basis[np.arange(len(free)), free] = 1
         basis[:, pivots] = self.field.NEG[R.array[:rank, free]].T
-        return MatrixFq(self.field, basis)
+        return MatrixFq._trusted(self.field, basis)
 
     # -- text format ----------------------------------------------------------------
 

@@ -7,6 +7,7 @@ import eaqecc
 from eaqecc import codes
 from eaqecc import propagate as prop
 from eaqecc.distance import span_values
+from eaqecc.matrix import MatrixFq
 
 
 def package_env():
@@ -37,3 +38,16 @@ def count_engine_runs(monkeypatch):
 
     monkeypatch.setattr(codes, "_distance_facts", spy)
     return runs
+
+
+def count_reductions(monkeypatch):
+    """A list that gains one (matrix, pivot_priority) entry per `MatrixFq.rref` call."""
+    calls = []
+    real = MatrixFq.rref
+
+    def spy(self, pivot_priority=None):
+        calls.append((self, pivot_priority))
+        return real(self, pivot_priority)
+
+    monkeypatch.setattr(MatrixFq, "rref", spy)
+    return calls

@@ -358,6 +358,11 @@ def _run_battery(tmp_path):
     wide.write_text(random_code(F9, 12, 7, np.random.default_rng(7)).to_text())
     small = tmp_path / "small.txt"  # [8,4]_9: both column searches score every class
     small.write_text(random_code(F9, 8, 4, np.random.default_rng(4)).to_text())
+    # [15,13]_9 with a 1-dimensional hull, which comes from its [15,2] dual's Gram matrix
+    c15 = random_code(F9, 15, 13, np.random.default_rng(17))
+    thin = {name: tmp_path / f"{name}.txt" for name in ("c15", "d15", "h15")}
+    for name, code in zip(thin, (c15, c15.hermitian_dual(), c15.hull_code())):
+        thin[name].write_text(code.to_text())
     g16, g29 = str(data / "g16_5_9.txt"), str(data / "g29_14_9.txt")
     cmds = BATTERY + [
         ["min-ent", str(tetra), "--mode", "randomized", "--seed", "7", "--budget", "64",
@@ -371,6 +376,8 @@ def _run_battery(tmp_path):
         ["propagate", g16, "--rule", "same-ent", "--search", "--format", "machine"],
         ["propagate", str(small), "--rule", "extend-column", "--search", "--format", "machine"],
         ["propagate", str(small), "--rule", "same-ent", "--search", "--format", "machine"],
+        ["construct", str(thin["c15"]), "--format", "machine"],
+        ["distance", str(thin["d15"]), "--outside", str(thin["h15"]), "--format", "machine"],
     ]
     blob = b""
     for cmd in cmds:

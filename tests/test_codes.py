@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from eaqecc.construct import hermitian_construct, intersection
 from eaqecc.errors import BudgetError, PreconditionError
 from eaqecc.fields import GF
 from eaqecc.matrix import MatrixFq, gf_matmul
-from helpers import count_engine_runs
+from helpers import count_engine_runs, count_reductions
 from oracles import (
     brute_codewords,
     brute_min_distance,
@@ -464,3 +466,71 @@ def test_hermitian_dual_identities():
                 got, got_ell = code.hermitian_hull()
                 assert got_ell == ell and got == basis
             assert D.hermitian_hull() is C.hermitian_hull()
+
+
+def span_words(C):
+    """Every word of C, as an array with one word per row."""
+    messages = list(itertools.product(range(C.field.order), repeat=C.k))
+    return gf_matmul(np.array(messages, dtype=np.uint8).reshape(len(messages), C.k),
+                     C.G.array, C.field)
+
+
+def brute_hull_words(C):
+    """The words of C Hermitian-orthogonal to every row of C, by enumerating C."""
+    words = span_words(C)
+    orthogonal = ~gf_matmul(words, C.field.CONJ[C.G.array].T, C.field).any(axis=1)
+    return set(map(tuple, words[orthogonal].tolist()))
+
+
+HULL_STEPS = {
+    "dual": lambda C: C.hermitian_dual(),
+    "hull_dim": lambda C: C.hull_dim,
+    "hull_code": lambda C: C.hull_code(),
+    "dual's hull": lambda C: C.hermitian_dual().hull_code(),
+}
+
+
+@pytest.mark.parametrize("q", [4, 9, 16, 25])
+def test_hull_matches_brute_force_in_every_build_order(q):
+    # with k < n - k the code's Gram matrix is the smaller, with k > n - k
+    # the dual's; either code may build the hull, before or after the dual
+    field, n = GF(q), 5
+    rng = np.random.default_rng(60 + q)
+    for k in (2, 3):
+        gens, dims = [], []
+        while len(gens) < 4:
+            C = random_code(field, n, k, rng)
+            if (C.hull_dim > 0) == (len(gens) > 0):  # one trivial hull, then nontrivial ones
+                gens.append(C.G.array)
+        for G in gens:
+            want = brute_hull_words(LinearCode(field, G))
+            ell = round(np.log(len(want)) / np.log(q))
+            assert q**ell == len(want)
+            for order in itertools.permutations(HULL_STEPS):
+                C = LinearCode(field, G)
+                for step in order:
+                    HULL_STEPS[step](C)
+                D = C.hermitian_dual()
+                assert C.hull_dim == D.hull_dim == ell, order
+                assert C.hull_code() is D.hull_code() and D.hermitian_hull() is C.hermitian_hull()
+                assert set(map(tuple, span_words(C.hull_code()).tolist())) == want, order
+            dims.append(ell)
+        assert dims[0] == 0 and min(dims[1:]) > 0
+
+
+def test_hull_of_a_code_with_a_small_dual_reduces_only_small_matrices(monkeypatch):
+    # a [15,13]_9 code with a 1-dimensional hull: once its [15,2] Hermitian
+    # dual is built, the hull comes from the dual's 2 x 2 Gram matrix, not
+    # from the code's 13 x 13 one
+    G = random_code(F9, 15, 13, np.random.default_rng(17)).G.array
+    C = LinearCode(F9, G)
+    D = C.hermitian_dual()
+    reductions = count_reductions(monkeypatch)
+    assert C.hull_dim == 1 and C.hull_code().k == 1
+    assert reductions and max(M.rows for M, _ in reductions) <= 2
+    hull = {w for w in brute_codewords(F9, D.G.array) if C.contains_vector(w)}
+    assert set(brute_codewords(F9, C.hull_code().G.array)) == hull and len(hull) == 9
+    # without the dual, the hull reduces the code's 13 x 13 Gram matrix
+    reductions.clear()
+    assert LinearCode(F9, G).hull_dim == 1
+    assert (13, 13) in [M.array.shape for M, _ in reductions]

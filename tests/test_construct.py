@@ -3,12 +3,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from eaqecc import construct
 from eaqecc.codes import LinearCode, random_code
 from eaqecc.construct import EaqeccParams, css_construct, hermitian_construct, intersection
 from eaqecc.distance import DistanceFact
 from eaqecc.errors import InvalidFieldError, PreconditionError
 from eaqecc.fields import GF
 from eaqecc.matrix import MatrixFq, gf_matmul
+from helpers import count_reductions
 
 F2, F3, F4, F9 = GF(2), GF(3), GF(4), GF(9)
 
@@ -162,3 +164,42 @@ def test_purity_helper():
     assert EaqeccParams(purity="pure_to:5", **base).is_pure_at_delta()
     assert not EaqeccParams(purity="pure_to:4", **base).is_pure_at_delta()
     assert not EaqeccParams(purity="unknown", **base).is_pure_at_delta()
+
+
+def test_css_builds_each_intersection_once(monkeypatch):
+    # C1 ∩ C2^perp gives c and, off the kappa = 0 extreme, the subcode of
+    # C2^perp; the duals' own duals are C1 and C2, so only the two duals
+    # and the intersections take a kernel
+    kernels, intersections = [], []
+    kernel, intersect = MatrixFq.kernel, construct.intersection
+    monkeypatch.setattr(MatrixFq, "kernel", lambda M: kernels.append(M) or kernel(M))
+    monkeypatch.setattr(construct, "intersection",
+                        lambda A, B: intersections.append((A, B)) or intersect(A, B))
+    rng = np.random.default_rng(53)
+    branches = set()
+    for field in (F2, F3):
+        for trial in range(10):
+            C1, C2 = (random_code(field, 7, int(rng.integers(1, 7)), rng) for _ in range(2))
+            if trial % 2:  # C1 spans C2^perp and one more word: the kappa = 0 extreme
+                rows = np.vstack([C2.G.kernel().array, C1.G.array[:1]])
+                R, rank, _ = MatrixFq(field, rows).rref()
+                C1 = LinearCode(field, R.array[:rank])
+            contained = C2.contains_code(LinearCode(field, C1.G.kernel()))
+            kernels.clear(), intersections.clear()
+            Q = css_construct(C1, C2)
+            assert len(intersections) == len(kernels) - 2 == (1 if contained else 2)
+            assert intersections[0] == (C1, C2.euclidean_dual())
+            assert Q.c == MatrixFq(field, gf_matmul(C1.G.array, C2.G.array.T, field)).rank()
+            assert C1.euclidean_dual().euclidean_dual() is C1
+            branches.add(contained)
+    assert branches == {False, True}
+
+
+def test_hermitian_construct_takes_the_hull_from_the_smaller_gram(monkeypatch):
+    # a [15,13]_9 code with a 1-dimensional hull: the construction builds
+    # the [15,2] Hermitian dual first and never reduces the 13 x 13 Gram matrix
+    C = random_code(F9, 15, 13, np.random.default_rng(17))
+    reductions = count_reductions(monkeypatch)
+    Q = hermitian_construct(C)
+    assert (Q.n, Q.kappa, Q.c) == (15, 1, 12)
+    assert (13, 13) not in [M.array.shape for M, _ in reductions]

@@ -18,6 +18,7 @@ from eaqecc.distance import (
 from eaqecc.errors import BudgetError, EaqeccError, PreconditionError
 from eaqecc.fields import GF
 from eaqecc.matrix import MatrixFq, gf_matmul
+from helpers import count_reductions
 from oracles import (
     brute_encode,
     brute_min_distance,
@@ -319,6 +320,27 @@ def test_rotated_pivot_sets_of_random_codes_get_no_credit(monkeypatch):
     for shape, options, *want in IS_PINS:
         assert pinned_run(shape, options) == tuple(want), (shape, options)
     assert proofs and not any(proofs)
+
+
+def test_information_set_set_up_waits_for_its_use(monkeypatch):
+    # every IS_PINS pass stays within _SHIFT_TEST_WORDS, so no pivot set's
+    # rotation class is computed; the first form is the input's own RREF
+    classes, real = [], distance._rotation_class
+    monkeypatch.setattr(distance, "_rotation_class",
+                        lambda pivots, n: classes.append(list(pivots)) or real(pivots, n))
+    for shape, options, *want in IS_PINS:
+        assert pinned_run(shape, options) == tuple(want), (shape, options)
+    assert classes == []
+    C = random_code(F9, 18, 9, np.random.default_rng(6))
+    reductions = count_reductions(monkeypatch)
+    forms = distance._systematic_forms(F9, C.G.array)
+    assert len(forms) == 3 and forms[0].pivots == C._pivots
+    assert forms[0].G is reductions[0][0].array  # already reduced: returned as it is
+    assert [p is None for _, p in reductions] == [True] + [False] * (len(reductions) - 1)
+    # before the first pass past the threshold, each form's class is computed once
+    monkeypatch.setattr(distance, "_SHIFT_TEST_WORDS", 64)
+    assert pinned_run(*IS_PINS[0][:2]) == tuple(IS_PINS[0][2:])
+    assert len(classes) == len(IS_PINS[0][-1])
 
 
 def test_information_sets_paper_pair():

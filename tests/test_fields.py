@@ -48,6 +48,14 @@ def test_tables_satisfy_the_field_axioms(order):
     nonzero = np.arange(1, order)
     assert (np.sort(MUL[1:], axis=1) == np.arange(order)).all()
     assert (MUL[nonzero, F.INV[1:]] == 1).all() and (ADD[np.arange(order), F.NEG] == 0).all()
+    # ELIM, rref's pivot-step table: -a*b when p = 2, where adding is XOR;
+    # otherwise the offset in ADD's flat table of the row that adds -a*b
+    negmul, ELIM = F.NEG.astype(np.intp)[MUL[a, b]], F.ELIM.astype(np.intp)
+    if F.p == 2:
+        assert F.ELIM.dtype == np.uint8 and (ELIM[a, b] == negmul).all()
+    else:
+        assert F.ELIM.dtype == (np.uint8 if order <= 16 else np.uint16)
+        assert (F.ADD.ravel()[ELIM[a, b] + c] == ADD[negmul, c]).all()
     # x is encoded as p (as 0 in a prime field, where the defining polynomial is x)
     x, power, value = F.p % order, 1, 0
     for k, coeff in enumerate(F.defining_poly):

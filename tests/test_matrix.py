@@ -103,7 +103,7 @@ def test_matmul_against_oracle(monkeypatch):
 
 def _rref_cases(F, rng):
     """Random, rank-deficient, zero-row and already-reduced matrices."""
-    for m, n in [(1, 1), (3, 5), (5, 3), (4, 4), (6, 9), (0, 4), (3, 0)]:
+    for m, n in [(1, 1), (1, 6), (3, 5), (5, 3), (4, 4), (6, 9), (0, 4), (3, 0)]:
         A = rng.integers(0, F.order, size=(m, n), dtype=np.uint8)
         yield A
         if m >= 2:
@@ -118,7 +118,9 @@ def _rref_cases(F, rng):
     yield np.array([[0, 0, 0], [1, 0, 0]], dtype=np.uint8)  # zero row first
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 16, 25, 27])
+# the pivot step's three paths: XOR (p = 2), and ADD's flat table through
+# 8-bit (odd q <= 13) or 16-bit (odd q >= 17) indices
+@pytest.mark.parametrize("q", [q for q in PRIME_POWERS if q <= 27] + [243, 251, 256])
 def test_rref_matches_row_at_a_time_loop(q):
     F = GF(q)
     rng = np.random.default_rng(q)
@@ -129,6 +131,26 @@ def test_rref_matches_row_at_a_time_loop(q):
             R, rank, pivots = MatrixFq(F, A).rref(pivot_priority=priority)
             R0, rank0, pivots0 = loop_rref(F, A, priority)
             assert np.array_equal(R.array, R0) and rank == rank0 and pivots == pivots0
+
+
+def test_rref_and_kernel_results_are_frozen_and_leave_the_input_alone():
+    # rref and kernel wrap the arrays they compute without a copy; the
+    # wrapped arrays are frozen like any other MatrixFq's
+    rng = np.random.default_rng(5)
+    for q in (2, 9, 251):
+        F = GF(q)
+        A = rng.integers(0, q, size=(4, 7), dtype=np.uint8)
+        M = MatrixFq(F, A)
+        for out in (M.rref()[0], M.rref(pivot_priority=[6, 5])[0], M.kernel()):
+            assert out.field is F and out.array.dtype == np.uint8 and out.array.ndim == 2
+            assert not out.array.flags.writeable and int(out.array.max()) < q
+            with pytest.raises(ValueError):
+                out.array[0, 0] = 1
+            with pytest.raises(AttributeError):
+                out.array = A
+        assert np.array_equal(M.array, A)
+    with pytest.raises(PreconditionError):
+        MatrixFq(GF(9), [[0, 9]])  # an external entry is still range-checked
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9, 16])

@@ -347,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
     budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument("--budget", type=non_negative_int, default=10**4, help="trial budget")
+    budget.add_argument("--budget", type=non_negative_int, default=propagate.DEFAULT_SEARCH_BUDGET,
+                        help="trial budget")
 
     p = argparse.ArgumentParser(prog="eaqecc", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -372,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("distance", parents=[common], help="minimum distance facts")
     sp.add_argument("--budget", type=non_negative_int, default=DEFAULT_WORK_BUDGET,
-                    help="information-set work budget, in messages")
+                    help="work budget: information-set messages, or scalar classes enumerated")
     sp.add_argument("code")
     # a fact outside a subcode takes no target
     only = sp.add_mutually_exclusive_group()

@@ -8,9 +8,10 @@ Hermitian dual holding one hull and one hull code; codes themselves
 are immutable.  Exact distance facts are cached
 too, so each costs one engine run per code object: d from `min_distance`
 or from the whole-code fact of `relative_distance`, and the
-(outside, whole) pair of `relative_distance` per subcode.  Facts a work
-budget leaves open are not cached.  A code read from text starts with
-an empty cache.
+(outside, whole) pair of `relative_distance` per subcode.  Facts the
+work budget leaves open are not cached; it counts information-set
+messages and enumerated scalar classes alike (`_distance_facts`).  A
+code read from text starts with an empty cache.
 """
 
 from __future__ import annotations
@@ -162,29 +163,24 @@ class LinearCode:
 
     def min_distance(
         self,
-        enum_cap: int = dist.DEFAULT_ENUM_CAP,
+        enum_cap: int | None = None,
         work_budget: int = dist.DEFAULT_WORK_BUDGET,
         target: int | None = None,
     ) -> DistanceFact:
         """Exact minimum distance when affordable, honest bounds otherwise.
 
-        The engine is chosen by `_distance_facts`; facts are cached.  The
-        zero code gets the conventional value n + 1.
+        The engine is chosen by `_distance_facts`; exact facts are cached.
+        The zero code gets the conventional value n + 1.
         """
         exact = self._cache.get("exact_d")
         if exact is not None:
             return exact
-        key = ("d", enum_cap, work_budget, target)
-        if key in self._cache:
-            return self._cache[key]
         if self.k == 0:
             fact = DistanceFact(self.n + 1, "exact", "convention")
         else:
             fact = _distance_facts(self, None, enum_cap, work_budget, target)[1]
         if fact.exact:
             self._cache["exact_d"] = fact
-        else:
-            self._cache[key] = fact
         return fact
 
     # -- files --------------------------------------------------------------------
@@ -204,7 +200,7 @@ class LinearCode:
 def relative_distance(
     big: LinearCode,
     sub: LinearCode,
-    enum_cap: int = dist.DEFAULT_ENUM_CAP,
+    enum_cap: int | None = None,
     work_budget: int = dist.DEFAULT_WORK_BUDGET,
 ):
     """(min weight of big \\ sub, min weight of big) as two facts.
@@ -238,23 +234,27 @@ def relative_distance(
 def _distance_facts(code: LinearCode, sub, enum_cap, work_budget, target):
     """(fact outside sub, fact for the whole code): the one engine choice.
 
-    Past enum_cap on q^k, the information-set loop runs until exact, the
-    optional target lower bound is certified, or the work budget runs
-    out.  Within it the facts are exact, from the engine estimated the
-    faster (`dist.information_sets_if_cheaper`): scalar-class
-    enumeration, or the information-set loop when its estimated messages
-    also fit the work budget.  The estimate bounds the answer by the
-    lightest generator row outside sub, a word of the measured set.  A
-    chosen information-set run ignores target and gets the estimated
-    messages as its budget; should it stop short of exact anyway (a code
-    whose forms have larger deficits than generic ones), enumeration
-    gives the facts, so the worst case costs about twice enumeration.
-    With sub None there is no subcode and the first fact is None; a
+    Enumeration, one unit of work per scalar class, runs only when the
+    code's classes fit work_budget (and q^k an enum_cap given, so that
+    enum_cap=1 forces information sets).  Past that, the information-set
+    loop reads up to work_budget messages, stopping once exact or once
+    the optional target lower bound is certified.  Within it the facts
+    are exact, from the engine estimated the faster
+    (`dist.information_sets_if_cheaper`): scalar-class enumeration, or
+    the information-set loop when its estimated messages also fit the
+    work budget.  The estimate bounds the answer by the lightest
+    generator row outside sub, a word of the measured set.  A chosen
+    information-set run ignores target and gets the estimated messages
+    as its budget; should it stop short of exact anyway (a code whose
+    forms have larger deficits than generic ones), enumeration gives the
+    facts, so the worst case costs about twice enumeration.  With sub
+    None there is no subcode and the first fact is None; a
     zero-dimensional sub still gets its own fact.
     """
     field = code.field
     subcode = None if sub is None else sub.G.array
-    if field.order**code.k > enum_cap:
+    if dist.scalar_classes(field.order, code.k) > work_budget or (
+            enum_cap is not None and field.order**code.k > enum_cap):
         res = dist.information_set_bounds(
             field, code.G.array, target=target, work_budget=work_budget, subcode=subcode)
         return res.outside_fact, res.fact
@@ -270,7 +270,7 @@ def _distance_facts(code: LinearCode, sub, enum_cap, work_budget, target):
             res = None
         if res and res.fact.exact and (sub is None or res.outside_fact.exact):
             return res.outside_fact, res.fact
-    scan = dist.span_weight_scan(field, rows, sub_rows=sub_rows, cap=enum_cap)
+    scan = dist.span_weight_scan(field, rows, sub_rows=sub_rows)
     whole = DistanceFact(scan.min_weight, "exact", "enumeration", scan.witness)
     if sub is None:
         return None, whole

@@ -98,7 +98,7 @@ def hermitian_construct(
 
     c = k - dim(hull); delta is the minimum weight of the Hermitian dual
     when it sits inside C, and of the dual minus the hull otherwise,
-    computed within `work_budget` information-set messages (the
+    computed within `work_budget` messages or scalar classes (the
     library-wide default of `distance`; the paper's [29,14]_9 code
     settles delta = 11 within it).  `known_distance` injects an
     externally certified delta instead (recorded as a citation fact) and

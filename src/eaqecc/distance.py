@@ -5,7 +5,7 @@ Two walks cover every search, both built by one expansion step
 
 * the scalar-class walk (`span_blocks`) visits every codeword up to
   scalar multiples in a fixed order.  It serves the exact scan
-  (`span_weight_scan`, within the enumeration cap on q^k) and, as value
+  (`span_weight_scan`, one word per scalar class) and, as value
   blocks (`span_values`), the word and column searches of the
   propagation rules and the all-nonzero search of the puncture space;
 * the by-weight walk of the information-set loop enumerates several
@@ -14,8 +14,9 @@ Two walks cover every search, both built by one expansion step
   tighten the upper bound, until the two meet or a budget runs out.
   Its pass order and lower-bound rule (`_next_form`, `_lower_bound`)
   also drive the cost estimate of `information_sets_if_cheaper`, which
-  keeps the bound as a running sum and decides, within the enumeration
-  cap, whether this walk or the scan settles a fact sooner.
+  keeps the bound as a running sum and decides, for a code whose
+  scalar classes fit the work budget, whether this walk or the scan
+  settles a fact sooner.
   Forms whose pivot sets are cyclic rotations of each other share
   their passes once the code (and the subcode, for relative facts) is
   proved invariant under a cyclic shift; that proof runs once, before
@@ -61,7 +62,7 @@ from .errors import BudgetError, EaqeccError, PreconditionError
 from .fields import FieldSpec
 from .matrix import MatrixFq, gf_matmul, in_row_space
 
-DEFAULT_ENUM_CAP = 10**8
+# the one bound on distance effort, in messages or scalar classes read
 DEFAULT_WORK_BUDGET = 10**8
 _BLOCK_TARGET = 1 << 16
 # Words per batch of information-set supports, and the cap on a pass's
@@ -298,12 +299,12 @@ class SpanScan:
     classes_scanned: int
 
 
-def span_weight_scan(
-    field: FieldSpec,
-    rows: np.ndarray,
-    sub_rows: int = 0,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> SpanScan:
+def scalar_classes(q: int, k: int) -> int:
+    """(q^k - 1) / (q - 1) scalar classes of nonzero words in an [n, k]_q code."""
+    return (q**k - 1) // (q - 1)
+
+
+def span_weight_scan(field: FieldSpec, rows: np.ndarray, sub_rows: int = 0) -> SpanScan:
     """Minimum weights over span(rows), one word per scalar class.
 
     The first `sub_rows` rows generate a distinguished subcode;
@@ -311,16 +312,13 @@ def span_weight_scan(
     sub_rows=0 the subcode is {0} and outside_min equals min_weight.
     The scan is one fold over span_blocks with the subcode rows moved
     last, so a word lies outside the subcode exactly when its lead row
-    does; each witness is the first lightest word in that walk.
-    Raises BudgetError when q^k exceeds the cap, and EaqeccError when a
+    does; each witness is the first lightest word in that walk.  The
+    caller bounds the walk (`scalar_classes`).  Raises EaqeccError when a
     witness does not have the weight the scan measured for it.
     """
     k, n = rows.shape
-    q = field.order
     if not 0 <= sub_rows <= k:
         raise PreconditionError("sub_rows out of range")
-    if q**k > cap:
-        raise BudgetError(f"q^k = {q}^{k} exceeds enumeration cap {cap}")
     order = list(range(sub_rows, k)) + list(range(sub_rows))
     planes = _planes(field, n)
     best = {}  # "all", and "out" with a subcode: (weight, witness planes)

@@ -133,16 +133,19 @@ def _sampled_columns(C: LinearCode, seed: int):
     D G G^dagger D^dagger = Diag(I_s, 0), so [D G | alpha e_position]
     raises the hull by one and spans the same code as [G | D^-1 alpha
     e_position].  The first pass over (position, alpha) uses the unsampled
-    D; each later candidate draws its own random congruence from the seed.
+    D, taken once; each later candidate draws its own random congruence
+    from the seed.
     """
     field, gram = C.field, C.gram_hermitian()
     alphas = [a for a in field.elements() if field.norm(a) == field.neg(1)]
     rng = np.random.default_rng(seed)
+    unsampled = hermitian_congruence_diagonalize(gram)[0].inverse().array
     for g in [None] + [rng] * (COLUMN_GRAM_SAMPLES - 1):
         for position in range(C.k - C.hull_dim):
             for alpha in alphas:
-                D, _ = hermitian_congruence_diagonalize(gram, rng=g)
-                yield field.MUL[alpha, D.inverse().array[:, position]]
+                D_inv = unsampled if g is None else (
+                    hermitian_congruence_diagonalize(gram, rng=g)[0].inverse().array)
+                yield field.MUL[alpha, D_inv[:, position]]
 
 
 def _class_column_blocks(C: LinearCode, norm_reps):
@@ -170,18 +173,17 @@ def _min_weight_messages(C: LinearCode):
     """(d, M): the minimum distance of C and one message per scalar class
     of its words of weight d, as the rows of M.
 
-    One scalar-class walk of span([I_k | G]) carries each message m
-    beside its codeword m G.
+    One scalar-class walk of span(G) visits each word m G; G is in
+    RREF, so m is the word's entries at G's pivots.
     """
-    k = C.k
     d, M = C.n + 1, []
-    for _, vals in dist.span_values(C.field, np.hstack([np.eye(k, dtype=np.uint8), C.G.array])):
-        wts = np.count_nonzero(vals[:, k:], axis=1)
+    for _, vals in dist.span_values(C.field, C.G.array):
+        wts = np.count_nonzero(vals, axis=1)
         low = int(wts.min())
         if low < d:
             d, M = low, []
         if low == d:
-            M.append(vals[wts == low, :k])
+            M.append(vals[wts == low][:, C._pivots])
     return d, np.concatenate(M)
 
 
@@ -204,7 +206,7 @@ def _best_column(C: LinearCode, seed: int):
     # norm(lambda): distance is scale-invariant but the hull is not, so scan
     # one representative per norm value on top of each scalar class
     norm_reps = [field.solve_norm(t) for t in field.subfield_nonzero_elements()]
-    classes = (field.order**C.k - 1) // (field.order - 1) * len(norm_reps)
+    classes = dist.scalar_classes(field.order, C.k) * len(norm_reps)
     if classes > COLUMN_CLASS_CAP:
         return _best_sampled_column(C, seed)
     d0, M0 = _min_weight_messages(C)
@@ -536,7 +538,7 @@ def more_entanglement_step(Q: EaqeccParams, i: int) -> PropagationStep:
     scalars, C2 = hull_reduce_scalars(C, ell - i)
     cert = {"input": C, "i": i, "scalars": scalars, "code": C2}
     out = _lift("more_ent", Q, C2, f"more_ent(i={i})")
-    small = C.field.order ** C2.hermitian_dual().k <= dist.DEFAULT_ENUM_CAP
+    small = dist.scalar_classes(C.field.order, C2.hermitian_dual().k) <= dist.DEFAULT_WORK_BUDGET
     if small and hermitian_construct(C2).delta.value < Q.delta.value:
         raise EaqeccError("more-entanglement output lost distance")
     return PropagationStep("more_ent", Q, out, cert)
@@ -554,9 +556,7 @@ def same_entanglement_step(Q: EaqeccParams, search: bool = False, seed: int = 0)
     _require_pure(Q)
     if Q.kappa <= 0 or Q.c <= 0:
         raise PreconditionError("same-entanglement rule needs kappa > 0 and c > 0")
-    E = C.hermitian_dual()
-    if not E.hull_dim < min(E.k, E.n - E.k):
-        raise RuleNotApplicableError("dual code sits at the hull boundary; extension undefined")
+    E = C.hermitian_dual()  # kappa, c > 0 put its hull below min(k, n - k)
     ext = extend_column_step(E, search=search, seed=seed).certificate
     cert = {"input": E, "column": ext["column"], "code": ext["output"],
             "search": int(search), "seed": seed}
@@ -582,7 +582,7 @@ def less_entanglement_step(
     _require_pure(Q)
     if Q.c < 1:
         raise PreconditionError("less-entanglement rule needs c >= 1")
-    E = C.hermitian_dual()
+    E = C.hermitian_dual()  # with c >= 1, E is its own hull exactly when kappa = 0
     if not E.hull_dim < min(E.k, E.n - E.k):
         raise RuleNotApplicableError("dual code sits at the hull boundary; extension undefined")
     if word is None:
@@ -834,13 +834,13 @@ def replay_step(step: PropagationStep):
 def _check_input_delta(rid: str, C: LinearCode, Q: EaqeccParams):
     """Compute the delta of the ingredient C and hold the recorded input to it.
 
-    The Hermitian construction computes delta at the library defaults
-    (`distance.DEFAULT_ENUM_CAP` and `DEFAULT_WORK_BUDGET`); a delta
-    their budget leaves open is not compared.  A recorded lower bound
-    must not exceed the true delta.  In-process, C is the certificate's
-    code and an exact delta it already measured is read from its cache;
-    a step read back with `step_from_text` has fresh codes, so every
-    fact is recomputed.
+    The Hermitian construction computes delta within the library's one
+    work budget (`distance.DEFAULT_WORK_BUDGET`, which also bounds
+    enumeration); a delta it leaves open is not compared.  A recorded
+    lower bound must not exceed the true delta.  In-process, C is the
+    certificate's code and an exact delta it already measured is read
+    from its cache; a step read back with `step_from_text` has fresh
+    codes, so every fact is recomputed.
     """
     delta = hermitian_construct(C).delta
     if not delta.exact:

@@ -80,8 +80,8 @@ class CodeRecord:
     def from_line(cls, line: str, line_number: int | None = None) -> "CodeRecord":
         body, _, comment = line.partition("#")
         toks = body.split()
-        if len(toks) < 5:
-            raise RecordParseError(f"need at least 5 fields, got {len(toks)}", line_number)
+        if not 5 <= len(toks) <= 7:
+            raise RecordParseError(f"need 5 to 7 fields, got {len(toks)}", line_number)
         try:
             q, n, kappa, delta, c = (int(t) for t in toks[:5])
         except ValueError as exc:

@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -462,9 +463,9 @@ _OWN_BUDGETS = {("codes.py", "_distance_facts", "work_budget", "messages"),
 
 
 def test_distance_effort_defaults_have_one_home():
-    # distance.DEFAULT_ENUM_CAP and DEFAULT_WORK_BUDGET are the only
-    # defaults: a call passes enum_cap= or work_budget= on from a
-    # parameter of the same name, or one of _OWN_BUDGETS
+    # distance.DEFAULT_WORK_BUDGET is the only default: a call passes
+    # enum_cap= or work_budget= on from a parameter of the same name, or
+    # one of _OWN_BUDGETS
     pkg = pathlib.Path(eaqecc.__file__).parent
     found = []
 
@@ -486,9 +487,50 @@ def test_distance_effort_defaults_have_one_home():
     for path in sorted(pkg.glob("*.py")):
         text = path.read_text()
         visit(ast.parse(text, filename=str(path)), path, None, set())
-        found += [f"{path.name}: {name}" for name in ("CONSTRUCT_WORK_BUDGET", "MORE_ENT_VERIFY_CAP")
-                  if name in text]
+        # nor a second effort constant: any enumeration cap, or the two retired ones
+        found += [f"{path.name}: {name}" for name in
+                  re.findall(r"\w*ENUM_CAP\b|CONSTRUCT_WORK_BUDGET|MORE_ENT_VERIFY_CAP", text)]
     assert not found
+    # the parser restates no default either
+    parse = cli.build_parser().parse_args
+    assert parse(["distance", "c"]).budget == eaqecc.distance.DEFAULT_WORK_BUDGET
+    for cmd in (["propagate", "--rule", "less-ent", "c"], ["min-ent", "c"], ["puncture-space", "c"]):
+        assert parse(cmd).budget == prop.DEFAULT_SEARCH_BUDGET
+    assert parse(["min-ent", "c"]).cap == prop.DEFAULT_SPACE_CAP
+
+
+def test_distance_budget_bounds_enumeration_too(capsys):
+    """The [16,5]_9 code has 7,381 scalar classes: a budget below that
+    count runs information sets alone, and from it on the default fact
+    is enumerated."""
+    g16 = str(DATA / "g16_5_9.txt")
+
+    def line(*args):
+        assert cli.main(["distance", g16, *args, "--format", "machine"]) == 0
+        return capsys.readouterr().out.splitlines()[1]
+
+    assert line("--budget", "1000") == (
+        "distance value=8 certainty=exact method=information_sets witness=0,0,0,0,0,0,0,0,"
+        "1,2,1,2,1,2,1,2")
+    assert line("--budget", "0").startswith(
+        "distance value=2 certainty=lower_bound method=information_sets")
+    assert line("--budget", "7381") == line() == (
+        "distance value=8 certainty=exact method=enumeration witness=1,2,1,2,1,2,1,2,0,0,0,0,"
+        "0,0,0,0")
+
+
+def test_records_with_more_than_seven_fields_exit_2(tmp_path):
+    extra = "3 6 1 5 3 pure constructed extra"
+    code, stdout, stderr = run_cli("bounds", "--record", extra, "--format", "machine")
+    assert code == 2 and stdout == "#v1\n" and stderr == "error: need 5 to 7 fields, got 8\n"
+    path = tmp_path / "t.txt"
+    path.write_text("3 6 1 5 3 pure constructed\n3 6 1 5 3 pure constructed x y  # note\n")
+    code, _, stderr = run_cli("table", "ingest", "--file", str(path))
+    assert code == 2 and stderr == "error: line 2: need 5 to 7 fields, got 9\n"
+    # a comment holds any number of words
+    path.write_text("3 6 1 5 3 pure constructed  # a b c d\n")
+    assert run_cli("table", "ingest", "--file", str(path), "--format", "machine")[:2] == (
+        0, "#v1\ningested records=1\n")
 
 
 _TOKENS = st.one_of(

@@ -15,7 +15,7 @@ from eaqecc.distance import (
     span_values,
     span_weight_scan,
 )
-from eaqecc.errors import BudgetError, EaqeccError, PreconditionError
+from eaqecc.errors import EaqeccError, PreconditionError
 from eaqecc.fields import GF
 from eaqecc.matrix import MatrixFq, gf_matmul
 from helpers import count_reductions
@@ -174,11 +174,41 @@ def test_dependent_generator_rows_are_refused():
         information_set_bounds(F2, rows)
 
 
-def test_span_scan_cap():
-    rng = np.random.default_rng(42)
-    C = random_code(F9, 8, 5, rng)
-    with pytest.raises(BudgetError):
-        span_weight_scan(F9, C.G.array, cap=100)
+def test_no_enumeration_past_work_budget(monkeypatch):
+    """A work budget below a code's (q^k - 1)/(q - 1) scalar classes never
+    enumerates, for plain and relative facts; from that count on, the
+    facts are those of the default budget, enumerated or not."""
+    scans = []
+    real = distance.span_weight_scan
+
+    def spy(*args, **kw):
+        scans.append(args)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(distance, "span_weight_scan", spy)
+    rng = np.random.default_rng(44)
+    codes = [LinearCode.from_text(tables.load_data_text("g16_5_9.txt")),
+             random_code(F9, 8, 5, rng), random_code(F4, 10, 6, rng), random_code(F2, 20, 12, rng),
+             random_code(F9, 11, 7, np.random.default_rng(5))]  # information sets at the default
+    methods = set()
+    for C in codes:
+        classes = distance.scalar_classes(C.field.order, C.k)
+        sub = LinearCode(C.field, C.G.array[:1])
+
+        def facts(budget):  # on fresh codes, which cache nothing yet
+            return (LinearCode(C.field, C.G).min_distance(work_budget=budget),
+                    *relative_distance(LinearCode(C.field, C.G), sub, work_budget=budget))
+
+        for budget in (0, 1, classes - 1):
+            assert {f.method for f in facts(budget)} == {"information_sets"}
+        assert not scans
+        default = facts(distance.DEFAULT_WORK_BUDGET)
+        scans.clear()
+        assert facts(classes) == default and all(f.exact for f in default)
+        methods.add(default[0].method)
+        assert bool(scans) == (default[0].method == "enumeration")
+        scans.clear()
+    assert methods == {"enumeration", "information_sets"}
 
 
 def test_information_sets_match_enumeration():

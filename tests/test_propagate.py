@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 import eaqecc
+from eaqecc import cli
 from eaqecc import propagate as prop
 from eaqecc.codes import LinearCode, random_code
 from eaqecc.construct import hermitian_construct
+from eaqecc.distance import span_values
 from eaqecc.errors import (
     BudgetError,
     EaqeccError,
@@ -19,7 +21,7 @@ from eaqecc.errors import (
     RuleNotApplicableError,
 )
 from eaqecc.fields import GF
-from eaqecc.matrix import MatrixFq
+from eaqecc.matrix import MatrixFq, gf_matmul, hermitian_congruence_diagonalize
 from eaqecc.tables import CodeRecord
 import oracles
 from helpers import count_engine_runs, qualifying_word
@@ -199,6 +201,75 @@ def test_extend_column_search_over_gf16():
     assert (C2.n, C2.k, C2.hull_dim) == (7, 2, C.hull_dim + 1)
 
 
+def _min_weight_messages_with_identity(C):
+    """The walk of span([I_k | G]) that carried each message beside its word."""
+    k = C.k
+    d, M = C.n + 1, []
+    for _, vals in span_values(C.field, np.hstack([np.eye(k, dtype=np.uint8), C.G.array])):
+        wts = np.count_nonzero(vals[:, k:], axis=1)
+        low = int(wts.min())
+        if low < d:
+            d, M = low, []
+        if low == d:
+            M.append(vals[wts == low, :k])
+    return d, np.concatenate(M)
+
+
+def test_min_weight_messages_read_off_the_pivots():
+    """Walking span(G) and reading each message off G's pivots lists the
+    rows, in the order, that the walk of span([I_k | G]) lists; [28,6]_4
+    and [24,9]_4 have n <= 32 < n + k, so the two walks hold their words in
+    bit planes of different widths."""
+    rng = np.random.default_rng(71)
+    for q, n, k in [(4, 7, 3), (4, 28, 6), (4, 24, 9), (9, 6, 3), (9, 10, 4), (16, 6, 2),
+                    (16, 8, 3)]:
+        for _ in range(3):
+            C = random_code(GF(q), n, k, rng)
+            d, M = prop._min_weight_messages(C)
+            want_d, want_M = _min_weight_messages_with_identity(C)
+            assert d == want_d and np.array_equal(M, want_M)
+            assert all(np.count_nonzero(w) == d for w in gf_matmul(M, C.G.array, C.field))
+
+
+def _sampled_columns_per_candidate(C, seed):
+    """The sampled columns as drawn when every candidate took its own congruence."""
+    field, gram = C.field, C.gram_hermitian()
+    alphas = [a for a in field.elements() if field.norm(a) == field.neg(1)]
+    rng = np.random.default_rng(seed)
+    for g in [None] + [rng] * (prop.COLUMN_GRAM_SAMPLES - 1):
+        for position in range(C.k - C.hull_dim):
+            for alpha in alphas:
+                D, _ = hermitian_congruence_diagonalize(gram, rng=g)
+                yield field.MUL[alpha, D.inverse().array[:, position]]
+
+
+def test_sampled_columns_take_the_unsampled_congruence_once(monkeypatch):
+    """The candidates are those of one congruence per candidate, and a
+    sampled search takes the unsampled congruence once."""
+    calls = []
+
+    def spy(gram, rng=None):
+        calls.append(rng)
+        return hermitian_congruence_diagonalize(gram, rng=rng)
+
+    monkeypatch.setattr(prop, "hermitian_congruence_diagonalize", spy)
+    rng = np.random.default_rng(72)
+    for field, n, k in [(F4, 8, 3), (F9, 8, 3), (GF(16), 7, 3)]:
+        C = random_code(field, n, k, rng)
+        while not C.hull_dim < min(C.k, C.n - C.k):
+            C = random_code(field, n, k, rng)
+        for seed in (0, 5):
+            calls.clear()
+            got = list(prop._sampled_columns(C, seed))
+            want = list(_sampled_columns_per_candidate(C, seed))
+            assert len(got) == len(want) and all(map(np.array_equal, got, want))
+            seeded = len(want) // prop.COLUMN_GRAM_SAMPLES * (prop.COLUMN_GRAM_SAMPLES - 1)
+            assert calls.count(None) == 1 and len(calls) == 1 + seeded
+            calls.clear()
+            prop._best_sampled_column(C, seed)
+            assert calls.count(None) == 1
+
+
 def test_best_column_matches_the_per_candidate_loop():
     """The one-walk scoring picks the column the loop of one extension and
     one scan per candidate picked, over codes with several minimum-weight
@@ -362,6 +433,21 @@ def test_less_entanglement_exhaustive_maximizes():
         assert sampled.delta.value <= out.delta.value
         return
     pytest.skip("no qualifying instance drawn")
+
+
+def test_less_entanglement_refuses_kappa_zero(tmp_path, capsys):
+    """A dual-containing [3,2]_9 code gives [[3,0,3;1]], pure: its dual's
+    hull is the whole dual, so no row and column extension exists."""
+    C = LinearCode(F9, np.ones((1, 3), dtype=np.uint8)).hermitian_dual()
+    Q = hermitian_construct(C)
+    assert (Q.n, Q.kappa, Q.delta.value, Q.c, Q.purity) == (3, 0, 3, 1, "pure")
+    with pytest.raises(RuleNotApplicableError, match="hull boundary"):
+        prop.less_entanglement(Q)
+    path = tmp_path / "c.txt"
+    path.write_text(C.to_text())
+    assert cli.main(["propagate", "--rule", "less-ent", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: dual code sits at the hull boundary; extension undefined\n")
 
 
 def test_less_entanglement_needs_ebits():
